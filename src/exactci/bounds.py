@@ -5,7 +5,9 @@ The upper bound b_alpha(x) is the unique theta with F_theta(x) = alpha
 P_theta(X >= x) = alpha (-inf when x is the support minimum). Both come from
 a bracketed bisection on theta: F_theta(x) is continuous and strictly
 decreasing in theta, so the initial bracket grows from the plateau endpoints
-by doubling unit steps until it straddles the target.
+by doubling steps until it straddles the target. Lower bounds are solved as
+upper bounds of the reflected family, so both tails are summed from their far
+end and keep their digits at tiny alpha.
 """
 
 from __future__ import annotations
@@ -14,11 +16,10 @@ import math
 from dataclasses import dataclass
 
 from .errors import BadAlpha, DivergentSearch, OutOfSupport
-from .family import LatticeFamily, plateau
+from .family import LatticeFamily, plateau, reflect
 from .models import Model
 
 THETA_TOL = 1e-10
-CDF_TOL = 1e-12
 
 
 def _unpack(obj) -> tuple[LatticeFamily, callable]:
@@ -59,40 +60,43 @@ class ConfidenceInterval:
     delta: float | None = None
 
 
-def _solve_decreasing_cdf(family: LatticeFamily, x: int, target: float, pivot: int) -> float:
+def _solve_decreasing_cdf(family: LatticeFamily, x: int, target: float) -> float:
     """Solve F_theta(x) = target in theta; F is strictly decreasing in theta.
 
-    The bracket starts at the finite plateau endpoints of ``pivot`` and grows
-    outward by doubling steps of size 1, then plain bisection runs to
-    THETA_TOL on theta with early exit at CDF_TOL on the cdf gap.
+    x must lie below the support maximum. The bracket starts at the plateau
+    of x and grows outward in doubling steps that start at the plateau width,
+    then bisection runs until the bracket is THETA_TOL wide. The upper end of
+    the bracket is returned: F there is at most the target, the conservative
+    side for an upper bound.
     """
-    p_lo, p_hi = plateau(family, pivot)
-    lo = p_lo if math.isfinite(p_lo) else (p_hi - 1.0 if math.isfinite(p_hi) else -1.0)
-    hi = p_hi if math.isfinite(p_hi) else (p_lo + 1.0 if math.isfinite(p_lo) else 1.0)
+    lo, hi = plateau(family, x)
+    if not math.isfinite(lo):
+        lo = hi - 1.0
+    step = hi - lo
 
-    step = 1.0
-    while family.distribution(lo).cdf(x) < target:
-        lo -= step
-        step *= 2.0
-        if step > 2.0**80:
+    def cdf(theta: float) -> float:
+        return family.distribution(theta).cdf(x)
+
+    grow = step
+    while cdf(lo) < target:
+        lo, hi = lo - grow, lo
+        grow *= 2.0
+        if grow > 2.0**80:
             raise DivergentSearch("no lower bracket for the cdf equation")
-    step = 1.0
-    while family.distribution(hi).cdf(x) > target:
-        hi += step
-        step *= 2.0
-        if step > 2.0**80:
+    grow = step
+    while cdf(hi) > target:
+        lo, hi = hi, hi + grow
+        grow *= 2.0
+        if grow > 2.0**80:
             raise DivergentSearch("no upper bracket for the cdf equation")
 
     while hi - lo > THETA_TOL:
         mid = 0.5 * (lo + hi)
-        val = family.distribution(mid).cdf(x)
-        if abs(val - target) <= CDF_TOL:
-            return mid
-        if val > target:
+        if cdf(mid) > target:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return hi
 
 
 def upper_bound(fam_or_model, x: int, alpha: float) -> float:
@@ -103,7 +107,7 @@ def upper_bound(fam_or_model, x: int, alpha: float) -> float:
         raise OutOfSupport(f"x = {x} is not in the support")
     if x == family.support.hi:
         return math.inf
-    return _solve_decreasing_cdf(family, int(x), alpha, int(x))
+    return _solve_decreasing_cdf(family, int(x), alpha)
 
 
 def lower_bound(fam_or_model, x: int, alpha: float) -> float:
@@ -114,7 +118,8 @@ def lower_bound(fam_or_model, x: int, alpha: float) -> float:
         raise OutOfSupport(f"x = {x} is not in the support")
     if x == family.support.lo:
         return -math.inf
-    return _solve_decreasing_cdf(family, int(x) - 1, 1.0 - alpha, int(x))
+    # P_theta(X >= x) = alpha is the cdf equation of -X at -x in the reflection
+    return -_solve_decreasing_cdf(reflect(family), -int(x), alpha)
 
 
 def pvalue_left(fam_or_model, x: int, theta: float) -> float:

@@ -125,7 +125,10 @@ def exact_coverage(
     coverage = []
     for eta in full:
         d = family.distribution(eta)
-        pmf = np.asarray([d.pmf(x) for x in xs])
+        pmf = np.zeros(len(xs))
+        i = int(d.xs[0]) - xs[0]
+        n = min(len(d.xs), len(xs) - i)
+        pmf[i : i + n] = d.pmf_values[:n]
         member = (t_lo <= eta) & (eta <= t_hi)
         coverage.append(float(pmf[member].sum()))
         if want_lengths:

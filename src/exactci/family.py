@@ -12,14 +12,16 @@ means the point mass at a finite lower support endpoint, theta = +inf the
 point mass at a finite upper endpoint; an infinite theta on an unbounded side
 is inadmissible.
 
-All evaluation happens in log space with max-shifted sums. For supports that
-are unbounded on one side, sums are truncated where the log summand has
-dropped ``TAIL_DROP`` natural-log units below its maximum, and never inside
-the window promised by the family's ``tail_floor`` witness; for the shipped
-models the neglected tail mass is below 1e-18 in relative terms. Tail
-probabilities are accumulated from the near end (upper tails are summed
-downward, never computed as one minus a cdf), so jump heights of order the
-smallest pmf value survive in float arithmetic.
+All evaluation happens in log space with one max-shifted sum per theta, and
+only over a summation window: the points whose log summand lies within
+``TAIL_DROP`` natural-log units of the mode's, plus the first point past that
+on each side that has one, widened on an unbounded side to the family's
+``tail_floor`` witness. The same rule cuts finite and infinite sides. Every
+point off the window has a pmf that rounds to exactly 0.0 in double
+precision, so no pmf, cdf or sf value depends on the cut. Tail probabilities
+are accumulated from the near end (upper tails are summed downward, never
+computed as one minus a cdf), so jump heights of order the smallest pmf value
+survive in float arithmetic.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     DivergentSearch,
@@ -42,17 +43,49 @@ from .errors import (
     UnboundedEnumeration,
 )
 
-# Truncation rule for unbounded supports: stop once the log summand is this far
-# below the running maximum (and past the tail_floor witness).
-TAIL_DROP = 45.0
+# Window rule: a summand this many nats below the mode's has pmf at most
+# exp(-TAIL_DROP), and exp(t) rounds to 0.0 for t below the log of half the
+# smallest subnormal (-745.13), so every term past the cut is exactly 0.0.
+TAIL_DROP = math.ceil(math.log(2.0) - math.log(math.ulp(0.0)))
 
-# Hard caps so a misdeclared family fails loudly instead of hanging.
+# Hard caps so a misdeclared family fails loudly instead of hanging. The window
+# cap bounds how far an unbounded side reaches from the finite end, if any.
 _MAX_WINDOW = 2_000_000
 _MAX_STEP = 1 << 42
 
 
 def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _search(pred: Callable, start: int, direction: int, end: int | float, step: int) -> int:
+    """First x past ``start`` in ``direction`` with pred(x) true, or ``end``.
+
+    pred must be false at start and monotone along the walk. Steps double from
+    ``step`` until pred holds or the walk reaches the support end, then a
+    bisection finds the first point.
+    """
+    near = start
+    while True:
+        far = start + direction * step
+        if direction * (far - end) >= 0:
+            far = int(end)
+            if not pred(far):
+                return far
+            break
+        if pred(far):
+            break
+        near = far
+        step *= 2
+        if step > _MAX_STEP:
+            raise DivergentSearch(f"the doubling search from x = {start} did not end")
+    while abs(far - near) > 1:
+        mid = (near + far) // 2
+        if pred(mid):
+            far = mid
+        else:
+            near = mid
+    return far
 
 
 @dataclass(frozen=True)
@@ -74,15 +107,16 @@ class LatticeSupport:
         if self.lo > self.hi:
             raise EmptySupport(f"empty support: lo = {self.lo} > hi = {self.hi}")
 
-    @property
+    # cached: the window searches ask these on every weight lookup
+    @cached_property
     def bounded_below(self) -> bool:
         return self.lo != -math.inf
 
-    @property
+    @cached_property
     def bounded_above(self) -> bool:
         return self.hi != math.inf
 
-    @property
+    @cached_property
     def bounded(self) -> bool:
         return self.bounded_below and self.bounded_above
 
@@ -99,10 +133,11 @@ class LatticeSupport:
 class Distribution:
     """The family at a fixed theta, tabulated on its summation window.
 
-    ``cdf`` is exactly 0 below the support and exactly 1 at or above its
-    maximum; ``sf(x)`` is the inclusive upper tail P(X >= x). Outcomes beyond
-    a truncated window fall into tail regions carrying < 1e-18 relative mass
-    and are mapped to 0/1 accordingly.
+    ``xs``, ``logpmf_values`` and ``pmf_values`` cover the window only; every
+    outcome off it has a pmf that is exactly 0.0 in double precision, so
+    ``cdf`` is 0 below the window and 1 above it. ``cdf`` is exactly 0 below
+    the support and exactly 1 at or above its maximum; ``sf(x)`` is the
+    inclusive upper tail P(X >= x).
     """
 
     support: LatticeSupport
@@ -110,11 +145,8 @@ class Distribution:
     xs: np.ndarray
     log_norm: float
     logpmf_values: np.ndarray
+    pmf_values: np.ndarray
     _log_weight: Callable | None = field(repr=False, default=None)
-
-    @cached_property
-    def pmf_values(self) -> np.ndarray:
-        return np.exp(self.logpmf_values)
 
     @cached_property
     def _cum(self) -> np.ndarray:
@@ -173,9 +205,10 @@ class LatticeFamily:
 
     ``log_weight`` must accept a float ndarray of support points and return
     log w_x elementwise. It must be a total function on the support. Families
-    with an unbounded side should supply ``tail_floor``, a map from theta to
-    a support index the truncation window must reach on that side; without it
-    the window is cut purely by the TAIL_DROP rule.
+    with an unbounded side may supply ``tail_floor``, a map from theta to a
+    support index the summation window must reach on that side; without it
+    the window is cut purely by the TAIL_DROP rule. Strict log-concavity is
+    checked once, at the first finite theta evaluated.
     """
 
     support: LatticeSupport
@@ -191,6 +224,44 @@ class LatticeFamily:
         # bounded supports keep the full log-weight table around
         return np.asarray(self.log_weight(self.support.points().astype(float)), dtype=float)
 
+    def _check_log_concave(self, theta: float) -> None:
+        # once per family, at its first finite theta; a reflection checks its
+        # source, so that errors name the user's outcomes
+        if "_log_concave" in self.__dict__:
+            return
+        source = self.__dict__.get("_source")
+        if source is None:
+            validate(self, theta)
+        else:
+            source._check_log_concave(-theta)
+        self.__dict__["_log_concave"] = True
+
+    @cached_property
+    def _reflection(self) -> LatticeFamily:
+        orig_logw, orig_floor = self.log_weight, self.tail_floor
+
+        def logw(z):
+            return orig_logw(-np.asarray(z))
+
+        floor = None
+        if orig_floor is not None:
+            def floor(theta):
+                return -orig_floor(-theta)
+
+        ref = LatticeFamily(
+            support=LatticeSupport(
+                lo=-self.support.hi if self.support.bounded_above else -math.inf,
+                hi=-self.support.lo if self.support.bounded_below else math.inf,
+            ),
+            log_weight=logw,
+            tail_floor=floor,
+        )
+        # the reflection shares the check, reads the table reversed and reflects back
+        ref.__dict__.update(_source=self, _reflection=self)
+        if self.support.bounded:
+            ref.__dict__["_table"] = self._table[::-1]
+        return ref
+
     def _logw(self, x: int) -> float:
         if self.support.bounded:
             return float(self._table[int(x) - int(self.support.lo)])
@@ -203,112 +274,41 @@ class LatticeFamily:
         """Argmax of log w_x + theta x; the difference sequence is strictly decreasing."""
         lo, hi = self.support.lo, self.support.hi
 
-        def d(x: int) -> float:
-            return self._logw(x + 1) - self._logw(x) + theta
+        def rising(x: int) -> bool:
+            return x < hi and self._logw(x + 1) - self._logw(x) + theta > 0.0
 
-        anchor = 0
-        if self.support.bounded_below:
-            anchor = max(anchor, int(lo))
-        if self.support.bounded_above:
-            anchor = min(anchor, int(hi) - 1)
-        if d(anchor) <= 0.0:
-            # mode is at or left of anchor; find largest x with d(x) > 0
-            if self.support.bounded_below and anchor == int(lo):
-                return int(lo)
-            right = anchor
-            step = 1
-            while True:
-                left = right - step
-                if self.support.bounded_below and left <= int(lo):
-                    left = int(lo)
-                    if d(left) <= 0.0:
-                        return int(lo)
-                    break
-                if d(left) > 0.0:
-                    break
-                right = left
-                step *= 2
-                if step > _MAX_STEP:
-                    raise DivergentSearch("could not bracket the summand mode")
-            # d(left) > 0 >= d(right)
-            while right - left > 1:
-                mid = (left + right) // 2
-                if d(mid) > 0.0:
-                    left = mid
-                else:
-                    right = mid
-            return right
-        # mode is right of anchor; find smallest x with d(x) <= 0
-        left = anchor
-        step = 1
-        while True:
-            right = left + step
-            if self.support.bounded_above and right >= int(hi):
-                if d(int(hi) - 1) > 0.0:
-                    return int(hi)
-                right = int(hi) - 1
-                if d(right) <= 0.0 and right - left <= 1:
-                    return right
-                break
-            if d(right) <= 0.0:
-                break
-            left = right
-            step *= 2
-            if step > _MAX_STEP:
-                raise DivergentSearch("could not bracket the summand mode")
-        while right - left > 1:
-            mid = (left + right) // 2
-            if d(mid) <= 0.0:
-                right = mid
-            else:
-                left = mid
-        return right
+        anchor = int(min(max(0, lo), hi))
+        if rising(anchor):
+            return _search(lambda x: not rising(x), anchor, +1, hi, 1)
+        if anchor == lo or rising(anchor - 1):
+            return anchor
+        return _search(lambda x: x == lo or rising(x - 1), anchor, -1, lo, 1)
 
     def _tail_cut(self, theta: float, mode: int, g_mode: float, direction: int) -> int:
-        """First point past the mode whose log summand sits TAIL_DROP below it."""
+        """First point past the mode whose log summand sits TAIL_DROP below it,
+        or the support end on that side when no point does."""
+        end = self.support.hi if direction > 0 else self.support.lo
+        dropped = lambda x: g_mode - self._score(x, theta) > TAIL_DROP
+        return _search(dropped, mode, direction, end, 8)
 
-        def deficit(x: int) -> float:
-            return g_mode - self._score(x, theta)
-
-        step = 8
-        near = mode
-        while deficit(mode + direction * step) <= TAIL_DROP:
-            near = mode + direction * step
-            step *= 2
-            if step > _MAX_STEP:
-                raise DivergentSearch("tail of the summand does not decay")
-        far = mode + direction * step
-        while abs(far - near) > 1:
-            mid = (near + far) // 2
-            if deficit(mid) <= TAIL_DROP:
-                near = mid
-            else:
-                far = mid
-        return far
-
-    def _window(self, theta: float) -> tuple[int, int]:
-        lo, hi = self.support.lo, self.support.hi
-        if self.support.bounded:
-            return int(lo), int(hi)
+    def _window(self, theta: float) -> tuple[int, int, float]:
+        """(a, b, g_mode): the summation window at theta and the mode's log summand."""
         m = self._mode(theta)
         gm = self._score(m, theta)
-        if self.support.bounded_below:
-            a = int(lo)
-        else:
-            a = self._tail_cut(theta, m, gm, -1)
-            if self.tail_floor is not None:
+        a = self._tail_cut(theta, m, gm, -1)
+        b = self._tail_cut(theta, m, gm, +1)
+        if self.tail_floor is not None:
+            if not self.support.bounded_below:
                 a = min(a, int(self.tail_floor(theta)))
-        if self.support.bounded_above:
-            b = int(hi)
-        else:
-            b = self._tail_cut(theta, m, gm, +1)
-            if self.tail_floor is not None:
+            if not self.support.bounded_above:
                 b = max(b, int(self.tail_floor(theta)))
-        if b - a + 1 > _MAX_WINDOW:
+        first = int(self.support.lo) if self.support.bounded_below else a
+        last = int(self.support.hi) if self.support.bounded_above else b
+        if not self.support.bounded and last - first + 1 > _MAX_WINDOW:
             raise UnboundedEnumeration(
-                f"summation window [{a}, {b}] at theta = {theta} is too large"
+                f"summation window [{first}, {last}] at theta = {theta} is too large"
             )
-        return a, b
+        return a, b, gm
 
     def distribution(self, theta: float) -> Distribution:
         """Tabulate the family at theta (extended values included)."""
@@ -323,40 +323,45 @@ class LatticeFamily:
                     f"theta = {theta} is inadmissible: that support end is unbounded"
                 )
             xs = np.asarray([int(endpoint)])
-            return Distribution(self.support, theta, xs, 0.0, np.asarray([0.0]), self.log_weight)
-        a, b = self._window(theta)
+            return Distribution(
+                self.support, theta, xs, 0.0, np.zeros(1), np.ones(1), self.log_weight
+            )
+        self._check_log_concave(theta)
+        a, b, gm = self._window(theta)
         xs = np.arange(a, b + 1)
         if self.support.bounded:
-            logw = self._table
+            lo = int(self.support.lo)
+            logw = self._table[a - lo : b - lo + 1]
         else:
             logw = np.asarray(self.log_weight(xs.astype(float)), dtype=float)
         g = logw + theta * xs
-        log_norm = float(logsumexp(g))
-        return Distribution(self.support, theta, xs, log_norm, g - log_norm, self.log_weight)
+        e = np.exp(g - gm)
+        s = float(e.sum())
+        log_norm = gm + math.log(s)
+        return Distribution(self.support, theta, xs, log_norm, g - log_norm, e / s, self.log_weight)
 
 
-def validate(family: LatticeFamily) -> None:
+def validate(family: LatticeFamily, theta: float = 0.0) -> None:
     """Check strict log-concavity of the stored weight range.
 
     For bounded supports the whole table is checked; for unbounded supports
-    only the summation window at theta = 0 (tail behaviour is the
-    constructor's responsibility). Raises :class:`NotLogConcave` carrying the
-    first violating interior index.
+    only the summation window at ``theta``, which must be admissible (tail
+    behaviour is the constructor's responsibility). Raises
+    :class:`NotLogConcave` carrying the first violating interior index. Every
+    family runs this check once, at the first finite theta it evaluates.
     """
     if family.support.bounded:
-        xs = family.support.points()
-        logw = family._table
+        first, logw = int(family.support.lo), family._table
     else:
-        a, b = family._window(0.0)
-        xs = np.arange(a, b + 1)
-        logw = np.asarray(family.log_weight(xs.astype(float)), dtype=float)
-    if not np.all(np.isfinite(logw)):
-        i = int(np.nonzero(~np.isfinite(logw))[0][0])
-        raise NotLogConcave(int(xs[i]))
+        first, b, _ = family._window(theta)
+        logw = np.asarray(family.log_weight(np.arange(first, b + 1, dtype=float)), dtype=float)
+    bad = np.nonzero(~np.isfinite(logw))[0]
+    if bad.size:
+        raise NotLogConcave(first + int(bad[0]))
     d = np.diff(logw)
     bad = np.nonzero(d[1:] >= d[:-1])[0]
     if bad.size:
-        raise NotLogConcave(int(xs[bad[0] + 1]))
+        raise NotLogConcave(first + int(bad[0]) + 1)
 
 
 def log_pmf(family: LatticeFamily, theta: float, x: int) -> float:
@@ -439,26 +444,12 @@ def plateau(family: LatticeFamily, x: int) -> tuple[float, float]:
 
 
 def reflect(family: LatticeFamily) -> LatticeFamily:
-    """The family of -X; lower-bound searches run upward in the reflection."""
-    orig_logw = family.log_weight
-    orig_floor = family.tail_floor
+    """The family of -X; lower-bound searches run upward in the reflection.
 
-    def logw(z):
-        return orig_logw(-np.asarray(z))
-
-    floor = None
-    if orig_floor is not None:
-        def floor(theta):
-            return -orig_floor(-theta)
-
-    return LatticeFamily(
-        support=LatticeSupport(
-            lo=-family.support.hi if family.support.bounded_above else -math.inf,
-            hi=-family.support.lo if family.support.bounded_below else math.inf,
-        ),
-        log_weight=logw,
-        tail_floor=floor,
-    )
+    Built once per family and cached: a bounded reflection reads the original's
+    log-weight table reversed, and reflecting it again returns the original.
+    """
+    return family._reflection
 
 
 def truncated_geometric_variance(delta: float, m: int) -> float:

@@ -10,6 +10,7 @@ from exactci import (
     clopper_pearson,
     lower_bound,
     make_binomial,
+    make_poisson,
     one_sided_interval,
     pvalue_left,
     pvalue_right,
@@ -163,6 +164,31 @@ class TestClopperPearson:
         ci = clopper_pearson(or_big, 42, 0.05)
         assert ci.natural_lo == pytest.approx(1.4332626889714744, abs=1e-8)
         assert ci.natural_hi == pytest.approx(9.159330993052095, abs=1e-8)
+
+    def test_tiny_alpha_matches_beta_quantiles(self, bin20):
+        # 1 - alpha keeps no digits of alpha = 1e-15, so both ends solve a
+        # tail equation summed from its far end and stop on the safe side
+        alpha = 1e-15
+        ci = clopper_pearson(bin20, 5, alpha)
+        assert ci.natural_hi == pytest.approx(0.948989504591, abs=1e-11)
+        assert ci.natural_hi == pytest.approx(beta.isf(alpha / 2, 6, 15), rel=1e-10)
+        assert ci.natural_lo == pytest.approx(beta.ppf(alpha / 2, 5, 16), rel=1e-9)
+        assert pvalue_left(bin20, 5, ci.theta_hi) <= alpha / 2
+        assert pvalue_right(bin20, 5, ci.theta_lo) <= alpha / 2
+
+    def test_poisson_million_brackets_without_overshoot(self):
+        # the bracket grows from the plateau width (1e-6 here), so it never
+        # asks for a rate whose window passes the enumeration cap
+        ci = clopper_pearson(make_poisson(), 10**6, 0.05)
+        assert ci.natural_lo == pytest.approx(gamma.ppf(0.025, 10**6), rel=1e-9)
+        assert ci.natural_hi == pytest.approx(gamma.isf(0.025, 10**6 + 1), rel=1e-9)
+        assert (ci.natural_lo, ci.natural_hi) == pytest.approx((998040.98, 1001961.91), abs=0.01)
+
+    def test_binomial_million_matches_beta_quantiles(self):
+        n, x = 10**6, 3 * 10**5
+        ci = clopper_pearson(make_binomial(n), x, 0.05)
+        assert ci.natural_lo == pytest.approx(beta.ppf(0.025, x, n - x + 1), rel=1e-9)
+        assert ci.natural_hi == pytest.approx(beta.isf(0.025, x + 1, n - x), rel=1e-9)
 
 
 class TestOneSidedIntervals:

@@ -18,6 +18,9 @@ from exactci import (
     cdf,
     ladder,
     log_pmf,
+    make_binomial,
+    make_odds_ratio,
+    make_poisson,
     plateau,
     reflect,
     special_param,
@@ -83,6 +86,19 @@ class TestValidate:
     def test_zero_weight_rejected(self):
         with pytest.raises(NotLogConcave):
             validate(table_family([1.0, 2.0, 0.0, 1.0]))
+
+    def test_first_evaluation_validates(self):
+        # log-convex weights are refused on first use, without a validate call
+        fam = LatticeFamily(LatticeSupport(0, 30), lambda xs: 0.05 * xs * xs)
+        with pytest.raises(NotLogConcave) as info:
+            fam.distribution(0.0)
+        assert info.value.x == 1
+
+    def test_reflection_reports_the_user_outcome(self):
+        fam = LatticeFamily(LatticeSupport(0, 30), lambda xs: 0.05 * xs * xs)
+        with pytest.raises(NotLogConcave) as info:
+            reflect(fam).distribution(0.0)
+        assert info.value.x == 1  # not -29, its mirror image
 
     def test_single_point_rejected_at_construction(self):
         with pytest.raises(EmptySupport):
@@ -231,6 +247,14 @@ class TestReflect:
         xs = bin20.family.support.points().astype(float)
         np.testing.assert_allclose(back.log_weight(xs), bin20.family.log_weight(xs), atol=1e-12)
 
+    def test_reflection_is_cached_and_shares_the_table(self, bin20):
+        fam = bin20.family
+        ref = reflect(fam)
+        assert reflect(fam) is ref
+        assert reflect(ref) is fam
+        assert np.shares_memory(ref._table, fam._table)
+        np.testing.assert_array_equal(ref._table, fam._table[::-1])
+
 
 def brute_variance(delta, m):
     x = np.arange(m + 1, dtype=float)
@@ -344,3 +368,53 @@ class TestTailSums:
     def test_window_cap_fails_loudly(self, pois):
         with pytest.raises(UnboundedEnumeration):
             pois.family.distribution(16.0)
+
+
+def unwindowed(family, theta, top):
+    """(xs, cdf, sf) on support.lo..top: the same max-shifted sum with no window."""
+    xs = np.arange(int(family.support.lo), top + 1)
+    g = family.log_weight(xs.astype(float)) + theta * xs
+    e = np.exp(g - g.max())
+    pmf = e / e.sum()
+    return xs, np.minimum(np.cumsum(pmf), 1.0), np.minimum(np.cumsum(pmf[::-1])[::-1], 1.0)
+
+
+WINDOW_CASES = [
+    *[(make_binomial(n), theta) for n in (20, 1000, 10**5)
+      for theta in (-40.0, -12.0, -1.5, 0.0, 1.5, 12.0, 40.0)],
+    *[(make_odds_ratio(49, 317, 245), theta) for theta in (-40.0, -8.0, 0.0, 3.0, 40.0)],
+    *[(make_poisson(), math.log(lam)) for lam in (1e-2, 4.0, 1e6)],
+]
+
+
+class TestSummationWindow:
+    """Every term off the window is exactly 0.0, so cutting it changes nothing."""
+
+    @pytest.mark.parametrize("model,theta", WINDOW_CASES)
+    def test_windowed_tails_equal_full_sums(self, model, theta):
+        fam = model.family
+        d = fam.distribution(theta)
+        if fam.support.bounded:
+            top = int(fam.support.hi)
+        else:
+            lam = math.exp(theta)
+            top = int(lam + 60.0 * math.sqrt(lam) + 2000)
+        xs, cum, tail = unwindowed(fam, theta, top)
+        a, b = int(d.xs[0]), int(d.xs[-1])
+        picks = np.unique(np.concatenate([
+            np.linspace(xs[0], xs[-1], 2001).astype(int),
+            np.clip([a - 2, a - 1, a, a + 1, b - 1, b, b + 1, b + 2], xs[0], xs[-1]),
+        ]))
+        for x in picks:
+            i = x - xs[0]
+            assert d.cdf(int(x)) == pytest.approx(cum[i], rel=1e-13, abs=0.0)
+            assert d.sf(int(x)) == pytest.approx(tail[i], rel=1e-13, abs=0.0)
+        # below and above the window the full sums are exactly 0 and 1 - 0
+        assert cum[: a - xs[0]].sum() == 0.0
+        assert tail[b + 1 - xs[0] :].sum() == 0.0
+
+    def test_large_supports_are_cut(self):
+        d = make_binomial(10**5).family.distribution(0.0)
+        assert len(d.xs) < 2 * 10**4  # about 39 sd either side of the mode
+        d = make_poisson().family.distribution(math.log(1e6))
+        assert d.xs[0] > 9 * 10**5

@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import digamma
+from scipy.special import digamma, gammaln
+from scipy.stats import binom
 
 from exactci import (
     BadDelta,
@@ -10,8 +11,10 @@ from exactci import (
     InadmissibleInfiniteTheta,
     LatticeFamily,
     LatticeSupport,
+    NotLogConcave,
     OutOfSupport,
     jump_limits,
+    make_binomial,
     plateau,
     pvalue_left,
     special_param,
@@ -342,6 +345,44 @@ class TestEndpoints:
         # the 95% upper endpoint in p sits between 0.4745 and 0.4746
         assert sterne_pvalue(bin20, 5, bin20.from_natural(0.4745)).value > ALPHA
         assert sterne_pvalue(bin20, 5, bin20.from_natural(0.4747)).value < ALPHA
+
+    def test_binomial_million_against_scipy(self):
+        # pi summed directly from scipy's pmf clears alpha just inside each
+        # end of the hull and not just outside it
+        n, x = 10**6, 3 * 10**5
+        model = make_binomial(n)
+        ci = sterne_interval(model, x, ALPHA)
+        ks = np.arange(n + 1)
+
+        def pi(theta):
+            pmf = binom.pmf(ks, n, model.to_natural(theta))
+            return float(pmf[pmf <= pmf[x]].sum())
+
+        assert pi(ci.theta_lo - 1e-7) <= ALPHA < pi(ci.theta_lo + 1e-7)
+        assert pi(ci.theta_hi + 1e-7) <= ALPHA < pi(ci.theta_hi - 1e-7)
+
+    def test_family_inadmissible_at_zero(self):
+        # negative binomial weights (r = 3) sum only for theta < 0, so the
+        # first-use check must look at the theta evaluated, not at 0
+        r = 3.0
+        fam = LatticeFamily(
+            LatticeSupport(0, math.inf),
+            lambda xs: gammaln(np.asarray(xs, dtype=float) + r) - gammaln(np.asarray(xs) + 1.0),
+        )
+        ci = sterne_interval(fam, 5, ALPHA)
+        assert ci.theta_lo < ci.theta_hi < 0.0
+        for t in (ci.theta_lo - 1e-6, ci.theta_hi + 1e-6):
+            assert sterne_pvalue_oracle(fam, 5, t) <= ALPHA
+        for t in (ci.theta_lo + 1e-6, ci.theta_hi - 1e-6):
+            assert sterne_pvalue_oracle(fam, 5, t) > ALPHA
+
+    def test_log_convex_weights_are_refused(self):
+        # unchecked, these weights gave theta_hi = -1.40, below the (inverted)
+        # plateau of x = 4
+        fam = LatticeFamily(LatticeSupport(0, 30), lambda xs: 0.05 * xs * xs)
+        with pytest.raises(NotLogConcave) as info:
+            sterne_interval(fam, 4, ALPHA)
+        assert info.value.x == 1
 
 
 def harmonic_family():

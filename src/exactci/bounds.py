@@ -5,9 +5,10 @@ The upper bound b_alpha(x) is the unique theta with F_theta(x) = alpha
 P_theta(X >= x) = alpha (-inf when x is the support minimum). Both come from
 a bracketed bisection on theta: F_theta(x) is continuous and strictly
 decreasing in theta, so the initial bracket grows from the plateau endpoints
-by doubling steps until it straddles the target. Lower bounds are solved as
-upper bounds of the reflected family, so both tails are summed from their far
-end and keep their digits at tiny alpha.
+by doubling steps until it straddles the target, then ``_bisect`` shrinks it.
+``_bisect`` is also the bisection under every Sterne endpoint. Lower bounds
+are solved as upper bounds of the reflected family, so both tails are summed
+from their far end and keep their digits at tiny alpha.
 """
 
 from __future__ import annotations
@@ -40,6 +41,13 @@ def _check_alpha(alpha) -> float:
     return float(alpha)
 
 
+def _check_x(family: LatticeFamily, x) -> int:
+    """x as an int; non-integers, bools and points off the support raise."""
+    if x not in family.support:
+        raise OutOfSupport(f"x = {x} is not in the support")
+    return int(x)
+
+
 @dataclass(frozen=True)
 class ConfidenceInterval:
     """A closed parameter interval on both the canonical and natural scales.
@@ -60,14 +68,34 @@ class ConfidenceInterval:
     delta: float | None = None
 
 
+def _bisect(f, lo, hi, f_lo, f_hi, target, tol, gap):
+    """Shrink a bracket of a decreasing f with f(lo) > target >= f(hi).
+
+    Halves it until it is at most ``tol`` wide and f falls by at most ``gap``
+    across it, or until no float lies strictly inside it (the midpoint rounds
+    to an end), so a tolerance below the float spacing cannot stall it.
+    Returns (lo, hi, f_lo, f_hi); hi is the conservative end.
+    """
+    while hi - lo > tol or f_lo - f_hi > gap:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        f_mid = f(mid)
+        if f_mid > target:
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+    return lo, hi, f_lo, f_hi
+
+
 def _solve_decreasing_cdf(family: LatticeFamily, x: int, target: float) -> float:
     """Solve F_theta(x) = target in theta; F is strictly decreasing in theta.
 
     x must lie below the support maximum. The bracket starts at the plateau
     of x and grows outward in doubling steps that start at the plateau width,
-    then bisection runs until the bracket is THETA_TOL wide. The upper end of
-    the bracket is returned: F there is at most the target, the conservative
-    side for an upper bound.
+    then ``_bisect`` shrinks it to THETA_TOL. The upper end of the bracket is
+    returned: F there is at most the target, the conservative side for an
+    upper bound.
     """
     lo, hi = plateau(family, x)
     if not math.isfinite(lo):
@@ -77,65 +105,57 @@ def _solve_decreasing_cdf(family: LatticeFamily, x: int, target: float) -> float
     def cdf(theta: float) -> float:
         return family.distribution(theta).cdf(x)
 
-    grow = step
-    while cdf(lo) < target:
-        lo, hi = lo - grow, lo
+    f_lo, f_hi, grow = cdf(lo), None, step
+    while f_lo < target:
+        lo, hi, f_hi = lo - grow, lo, f_lo
         grow *= 2.0
         if grow > 2.0**80:
             raise DivergentSearch("no lower bracket for the cdf equation")
+        f_lo = cdf(lo)
+    f_hi = cdf(hi) if f_hi is None else f_hi
     grow = step
-    while cdf(hi) > target:
-        lo, hi = hi, hi + grow
+    while f_hi > target:
+        lo, hi, f_lo = hi, hi + grow, f_hi
         grow *= 2.0
         if grow > 2.0**80:
             raise DivergentSearch("no upper bracket for the cdf equation")
-
-    while hi - lo > THETA_TOL:
-        mid = 0.5 * (lo + hi)
-        if cdf(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+        f_hi = cdf(hi)
+    return _bisect(cdf, lo, hi, f_lo, f_hi, target, THETA_TOL, math.inf)[1]
 
 
 def upper_bound(fam_or_model, x: int, alpha: float) -> float:
     """Exact upper confidence bound: the theta with F_theta(x) = alpha."""
     family = _family(fam_or_model)
     alpha = _check_alpha(alpha)
-    if x not in family.support:
-        raise OutOfSupport(f"x = {x} is not in the support")
+    x = _check_x(family, x)
     if x == family.support.hi:
         return math.inf
-    return _solve_decreasing_cdf(family, int(x), alpha)
+    return _solve_decreasing_cdf(family, x, alpha)
 
 
 def lower_bound(fam_or_model, x: int, alpha: float) -> float:
     """Exact lower confidence bound: the theta with P_theta(X >= x) = alpha."""
     family = _family(fam_or_model)
     alpha = _check_alpha(alpha)
-    if x not in family.support:
-        raise OutOfSupport(f"x = {x} is not in the support")
+    x = _check_x(family, x)
     if x == family.support.lo:
         return -math.inf
     # P_theta(X >= x) = alpha is the cdf equation of -X at -x in the reflection
-    return -_solve_decreasing_cdf(reflect(family), -int(x), alpha)
+    return -_solve_decreasing_cdf(reflect(family), -x, alpha)
 
 
 def pvalue_left(fam_or_model, x: int, theta: float) -> float:
     """P_theta(X <= x), the left tail at the observed outcome."""
     family = _family(fam_or_model)
-    if x not in family.support:
-        raise OutOfSupport(f"x = {x} is not in the support")
-    return family.distribution(theta).cdf(int(x))
+    x = _check_x(family, x)
+    return family.distribution(theta).cdf(x)
 
 
 def pvalue_right(fam_or_model, x: int, theta: float) -> float:
     """P_theta(X >= x), the right tail at the observed outcome."""
     family = _family(fam_or_model)
-    if x not in family.support:
-        raise OutOfSupport(f"x = {x} is not in the support")
-    return family.distribution(theta).sf(int(x))
+    x = _check_x(family, x)
+    return family.distribution(theta).sf(x)
 
 
 def pvalue_two(fam_or_model, x: int, theta: float) -> float:
@@ -146,7 +166,7 @@ def pvalue_two(fam_or_model, x: int, theta: float) -> float:
     )
 
 
-def clopper_pearson(fam_or_model, x: int, alpha: float, **_ignored) -> ConfidenceInterval:
+def clopper_pearson(fam_or_model, x: int, alpha: float) -> ConfidenceInterval:
     """Equal-tail exact interval [a_{alpha/2}(x), b_{alpha/2}(x)]."""
     family, to_natural = _unpack(fam_or_model)
     alpha = _check_alpha(alpha)

@@ -117,24 +117,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_model(args) -> tuple:
-    kind = args.command if args.command in ("binomial", "poisson", "oddsratio") else args.model
+    """The model named on the command line and the observed x (None for an audit)."""
+    audit = args.command == "audit"
+    kind = args.model if args.command in ("curve", "audit") else args.command
+    x = None if audit else getattr(args, "x", None)
     if kind == "binomial":
-        if args.n is None or getattr(args, "x", None) is None:
-            raise BadN("binomial needs --n and --x")
+        if args.n is None or (x is None and not audit):
+            raise BadN("binomial needs --n" + ("" if audit else " and --x"))
         model = make_binomial(args.n)
-        x = args.x
     elif kind == "poisson":
-        if getattr(args, "x", None) is None:
+        if x is None and not audit:
             raise OutOfSupport("poisson needs --x")
         model = make_poisson()
-        x = args.x
+    elif audit:
+        if None in (args.n1, args.n2, args.s):
+            raise BadN("audit --model oddsratio needs --n1 --n2 --s")
+        model = make_odds_ratio(args.n1, args.n2, args.s)
     else:
-        needed = (args.y1, args.n1, args.y2, args.n2)
-        if any(v is None for v in needed):
+        if None in (args.y1, args.n1, args.y2, args.n2):
             raise BadN("oddsratio needs --y1 --n1 --y2 --n2")
         table = TwoByTwoTable(y1=args.y1, n1=args.n1, y2=args.y2, n2=args.n2)
-        model = make_odds_ratio(table.n1, table.n2, table.s)
-        x = table.x
+        model, x = make_odds_ratio(table.n1, table.n2, table.s), table.x
+    if audit:
+        return model, None
     if x not in model.family.support:
         raise OutOfSupport(f"x = {x} is outside the support of this model")
     return model, int(x)
@@ -204,21 +209,23 @@ def _print_intervals(model, x, args, out=sys.stdout) -> None:
 
 
 def _curve_jumps(model, x, t_from, t_to):
-    """All special parameters theta_{k,x} inside [t_from, t_to]."""
+    """All k whose special parameter theta_{k,x} lies inside [t_from, t_to].
+
+    theta_{k,x} increases with k, so the list comes in theta order.
+    """
     fam = model.family
-    lo, hi = fam.support.lo, fam.support.hi
-    ks = []
+    below, above = [], []
     k = x - 1
-    while k >= lo and special_param(fam, x, k) >= t_from:
-        if special_param(fam, x, k) <= t_to:
-            ks.append(k)
+    while k >= fam.support.lo and (t := special_param(fam, x, k)) >= t_from:
+        if t <= t_to:
+            below.append(k)
         k -= 1
     k = x + 1
-    while k <= hi and special_param(fam, x, k) <= t_to:
-        if special_param(fam, x, k) >= t_from:
-            ks.append(k)
+    while k <= fam.support.hi and (t := special_param(fam, x, k)) <= t_to:
+        if t >= t_from:
+            above.append(k)
         k += 1
-    return sorted(ks, key=lambda k: special_param(fam, x, k))
+    return below[::-1] + above
 
 
 def _print_curve(model, x, args, out=sys.stdout) -> None:
@@ -246,17 +253,7 @@ def _print_curve(model, x, args, out=sys.stdout) -> None:
         out.write(f"{float(nat)!r},{float(p)!r},{side}\n")
 
 
-def _print_audit(args, out=sys.stdout) -> None:
-    if args.model == "binomial":
-        if args.n is None:
-            raise BadN("audit --model binomial needs --n")
-        model = make_binomial(args.n)
-    elif args.model == "poisson":
-        model = make_poisson()
-    else:
-        if args.n1 is None or args.n2 is None or args.s is None:
-            raise BadN("audit --model oddsratio needs --n1 --n2 --s")
-        model = make_odds_ratio(args.n1, args.n2, args.s)
+def _print_audit(model, args, out=sys.stdout) -> None:
     if not args.grid_from < args.grid_to:
         raise BadGrid("audit needs --from < --to")
     if args.points < 2:
@@ -275,11 +272,10 @@ def run(argv=None, out=sys.stdout) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "audit":
-            _print_audit(args, out)
-            return 0
         model, x = _build_model(args)
-        if args.command == "curve" or getattr(args, "curve", False):
+        if args.command == "audit":
+            _print_audit(model, args, out)
+        elif args.command == "curve" or getattr(args, "curve", False):
             _print_curve(model, x, args, out)
         else:
             _print_intervals(model, x, args, out)

@@ -49,21 +49,25 @@ from .errors import (
 TAIL_DROP = math.ceil(math.log(2.0) - math.log(math.ulp(0.0)))
 
 # Hard caps so a misdeclared family fails loudly instead of hanging. The window
-# cap bounds how far an unbounded side reaches from the finite end, if any.
+# cap bounds how far an unbounded side reaches from the finite end, if any;
+# the step cap bounds every doubling walk of ``_search``.
 _MAX_WINDOW = 2_000_000
-_MAX_STEP = 1 << 42
+STEP_CAP = 1 << 42
 
 
 def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def _search(pred: Callable, start: int, direction: int, end: int | float, step: int) -> int:
+def _search(
+    pred: Callable, start: int, direction: int, end: int | float, step: int, cap: int = STEP_CAP
+) -> int:
     """First x past ``start`` in ``direction`` with pred(x) true, or ``end``.
 
-    pred must be false at start and monotone along the walk. Steps double from
-    ``step`` until pred holds or the walk reaches the support end, then a
-    bisection finds the first point.
+    pred must be false at start and monotone along the walk. Probes sit at
+    start + direction * step with the step doubling until pred holds or the
+    walk reaches ``end``, then a bisection finds the first point. A probe
+    with step above ``cap`` raises DivergentSearch instead.
     """
     near = start
     while True:
@@ -73,12 +77,11 @@ def _search(pred: Callable, start: int, direction: int, end: int | float, step: 
             if not pred(far):
                 return far
             break
+        if step > cap:
+            raise DivergentSearch(f"the doubling search from x = {start} did not end")
         if pred(far):
             break
-        near = far
-        step *= 2
-        if step > _MAX_STEP:
-            raise DivergentSearch(f"the doubling search from x = {start} did not end")
+        near, step = far, 2 * step
     while abs(far - near) > 1:
         mid = (near + far) // 2
         if pred(mid):

@@ -15,12 +15,16 @@ function jumps down by the mass of the outcome k that enters the
 more-probable set, so the confidence set {eta : pi(x, eta) > alpha} has its
 endpoints either at a jump or at a root of the smooth piece.
 
-``sterne_upper`` finds the upper endpoint in two stages: an integer binary
-search over k for the last jump value above alpha (``stage_one``), then a
-real bisection inside the following piece (``stage_two``) that stops once
-both the bracket width and the p-value gap fall below delta. Lower endpoints
-reuse the same machinery on the reflected family. The returned interval is
-the closed hull of the confidence set, so its coverage is never below the
+``sterne_upper`` finds the upper endpoint in two searches: an integer search
+over k for the last jump value at or above alpha (``stage_one``, on
+``family._search``), then a real bisection inside the following piece
+(``stage_two``, on ``bounds._bisect``) that stops once both the bracket width
+and the p-value gap fall below delta, or once no float lies strictly inside
+the bracket. Past the last jump of a bounded support the endpoint is the
+one-sided bound. Lower endpoints, and the pieces left of the plateau in
+``sterne_pvalue``, reuse the same searches on the reflected family, whose
+special parameters are the exact negations. The returned interval is the
+closed hull of the confidence set, so its coverage is never below the
 nominal level.
 """
 
@@ -29,15 +33,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .bounds import ConfidenceInterval, _check_alpha, _unpack, upper_bound
-from .errors import BadDelta, DivergentSearch, OutOfSupport
-from .family import LatticeFamily, reflect, special_param
-from .models import Model
+from .bounds import ConfidenceInterval, _bisect, _check_alpha, _check_x, _unpack, upper_bound
+from .errors import BadDelta, OutOfSupport
+from .family import STEP_CAP, LatticeFamily, _search, reflect, special_param
 
 DEFAULT_DELTA = 1e-8
-PROBE_CAP = 1 << 40
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,10 @@ class SterneResult:
     ``bound`` is the returned endpoint. For an upper bound it lies in
     [b, b + delta] where b is the exact endpoint, and ``achieved`` (the
     p-value at ``bound``, right limit at a jump) lies in [alpha - delta,
-    alpha]; mirrored for lower bounds. ``at_jump`` marks endpoints returned
-    exactly as a special parameter theta_{k_star, x}.
+    alpha], unless delta is below the float spacing at b, where the bracket
+    ends as two adjacent floats; mirrored for lower bounds. ``at_jump``
+    marks endpoints returned exactly as a special parameter
+    theta_{k_star, x}.
     """
 
     k_star: int | None
@@ -91,9 +93,7 @@ def sterne_pvalue(fam_or_model, x: int, eta: float) -> PValueEvaluation:
     family is a point mass and pi is 1 if x is that endpoint, else 0.
     """
     family, _ = _unpack(fam_or_model)
-    if x not in family.support:
-        raise OutOfSupport(f"x = {x} is not in the support")
-    x = int(x)
+    x = _check_x(family, x)
     lo, hi = family.support.lo, family.support.hi
     if math.isinf(eta):
         # forces the admissibility check
@@ -110,73 +110,23 @@ def sterne_pvalue(fam_or_model, x: int, eta: float) -> PValueEvaluation:
     if eta > t_hi:
         k = _first_k_at_or_above(family, x, eta)
         d = family.distribution(eta)
-        value = _clip(d.sf(k) + d.cdf(x))
-        at = k <= hi and special_param(family, x, k) == eta
-        return PValueEvaluation(value, k, at)
-
-    k = _last_k_at_or_below(family, x, eta)
-    d = family.distribution(eta)
-    value = _clip(d.sf(x) + d.cdf(k))
-    at = k >= lo and special_param(family, x, k) == eta
-    return PValueEvaluation(value, k, at)
+        value = d.sf(k) + d.cdf(x)
+    else:
+        # theta_{k,x} of the reflection at (-x, -k) is exactly -theta_{k,x}
+        k = -_first_k_at_or_above(reflect(family), -x, -eta)
+        d = family.distribution(eta)
+        value = d.sf(x) + d.cdf(k)
+    at = k in family.support and special_param(family, x, k) == eta
+    return PValueEvaluation(_clip(value), k, at)
 
 
 def _first_k_at_or_above(family: LatticeFamily, x: int, eta: float) -> int:
-    """Smallest k >= x + 2 with theta_{k,x} >= eta (hi + 1 when none)."""
-    hi = family.support.hi
-    t = lambda k: special_param(family, x, k)
-    lo_k = x + 2
-    if family.support.bounded_above:
-        hi_k = int(hi) + 1  # sentinel, theta = +inf >= eta always
-        if lo_k > int(hi) or t(lo_k) >= eta:
-            return min(lo_k, int(hi) + 1)
-    else:
-        if t(lo_k) >= eta:
-            return lo_k
-        step = 1
-        while t(x + 2 + step) < eta:
-            lo_k = x + 2 + step
-            step *= 2
-            if step > PROBE_CAP:
-                raise DivergentSearch("special parameters do not reach eta")
-        hi_k = x + 2 + step
-    # t(lo_k) < eta <= t(hi_k)
-    while hi_k - lo_k > 1:
-        mid = (lo_k + hi_k) // 2
-        if t(mid) >= eta:
-            hi_k = mid
-        else:
-            lo_k = mid
-    return hi_k
+    """Smallest k >= x + 2 with theta_{k,x} >= eta (hi + 1 when none).
 
-
-def _last_k_at_or_below(family: LatticeFamily, x: int, eta: float) -> int:
-    """Largest k <= x - 2 with theta_{k,x} <= eta (lo - 1 when none)."""
-    lo = family.support.lo
-    t = lambda k: special_param(family, x, k)
-    hi_k = x - 2
-    if family.support.bounded_below:
-        lo_k = int(lo) - 1  # sentinel, theta = -inf <= eta always
-        if hi_k < int(lo) or t(hi_k) <= eta:
-            return max(hi_k, int(lo) - 1)
-    else:
-        if t(hi_k) <= eta:
-            return hi_k
-        step = 1
-        while t(x - 2 - step) > eta:
-            hi_k = x - 2 - step
-            step *= 2
-            if step > PROBE_CAP:
-                raise DivergentSearch("special parameters do not reach eta")
-        lo_k = x - 2 - step
-    # t(lo_k) <= eta < t(hi_k)
-    while hi_k - lo_k > 1:
-        mid = (lo_k + hi_k) // 2
-        if t(mid) <= eta:
-            lo_k = mid
-        else:
-            hi_k = mid
-    return lo_k
+    eta must lie above theta_{x+1,x}.
+    """
+    at_or_above = lambda k: special_param(family, x, k) >= eta
+    return _search(at_or_above, x + 1, +1, family.support.hi + 1, 1)
 
 
 def sterne_pvalue_oracle(fam_or_model, x: int, eta: float) -> float:
@@ -185,11 +135,10 @@ def sterne_pvalue_oracle(fam_or_model, x: int, eta: float) -> float:
     Kept deliberately naive as a cross-check for :func:`sterne_pvalue`.
     """
     family, _ = _unpack(fam_or_model)
-    if x not in family.support:
-        raise OutOfSupport(f"x = {x} is not in the support")
+    x = _check_x(family, x)
     d = family.distribution(float(eta))
     lp = d.logpmf_values
-    ix = int(x) - int(d.xs[0])
+    ix = x - int(d.xs[0])
     if not 0 <= ix < len(d.xs):
         raise OutOfSupport(f"x = {x} fell outside the summation window")
     mask = lp <= lp[ix]
@@ -202,58 +151,50 @@ def _pvalue_at_jump(family: LatticeFamily, x: int, k: int) -> float:
     return _clip(d.sf(k) + d.cdf(x))
 
 
-def stage_one(fam_or_model, x: int, alpha: float, probe_cap: int = PROBE_CAP) -> int:
+def _endpoint(k, lo: float, hi: float, p_lo: float, p_hi: float, delta: float,
+              at_jump: bool = False) -> SterneResult:
+    """The result for an upper endpoint certified by the bracket [lo, hi]."""
+    return SterneResult(k, hi, (lo, hi), (p_lo, p_hi), p_hi, at_jump, delta)
+
+
+def stage_one(fam_or_model, x: int, alpha: float, probe_cap: int = STEP_CAP) -> int:
     """Largest k > x whose jump value pi(x, theta_{k,x}) is still >= alpha.
 
-    Bounded supports use a pure integer bisection from max(X); unbounded ones
-    first find a failing probe by doubling k - x, which must succeed for any
-    family whose jump values decay to zero (cap ``probe_cap``, default 2^40).
+    The jump values decrease in k, so this is one integer search for the
+    first k whose jump value falls below alpha, minus one. On a bounded
+    support the first probe is at max(X), with hi + 1 as the sentinel, and a
+    bisection follows. On an unbounded one the probes sit at x + 2, x + 4,
+    x + 8, ... until one falls below alpha, which must happen for any family
+    whose jump values decay to zero; a probe past x + ``probe_cap`` raises
+    DivergentSearch.
     """
     family, _ = _unpack(fam_or_model)
     alpha = _check_alpha(alpha)
-    if x not in family.support:
-        raise OutOfSupport(f"x = {x} is not in the support")
-    x = int(x)
-    if x == family.support.hi:
+    x = _check_x(family, x)
+    hi = family.support.hi
+    if x == hi:
         raise ValueError("x is the support maximum; the upper bound is +inf")
 
-    if family.support.bounded_above:
-        k_bad = int(family.support.hi)
-        if _pvalue_at_jump(family, x, k_bad) >= alpha:
-            return k_bad
-        k_ok = x + 1  # pi(x, theta_{x+1,x}) = 1 on the plateau edge
-    else:
-        k_ok = x + 1
-        step = 1
-        while True:
-            if step > probe_cap:
-                raise DivergentSearch(
-                    f"jump values stayed above alpha out to k = x + {step // 2}"
-                )
-            k_bad = x + step
-            if k_bad > k_ok and _pvalue_at_jump(family, x, k_bad) < alpha:
-                break
-            k_ok = max(k_ok, k_bad)
-            step *= 2
+    def below(k: int) -> bool:
+        # pi(x, theta_{x+1,x}) = 1 on the plateau edge
+        return k > hi or (k > x + 1 and _pvalue_at_jump(family, x, k) < alpha)
 
-    while k_bad > k_ok + 1:
-        mid = (k_ok + k_bad) // 2
-        if _pvalue_at_jump(family, x, mid) >= alpha:
-            k_ok = mid
-        else:
-            k_bad = mid
-    return k_ok
+    if family.support.bounded_above:
+        return _search(below, x + 1, +1, hi + 1, max(1, hi - x - 1), probe_cap) - 1
+    return _search(below, x, +1, hi, 2, probe_cap) - 1
 
 
 def stage_two(fam_or_model, x: int, k: int, alpha: float, delta: float = DEFAULT_DELTA) -> SterneResult:
-    """Bisect for the upper endpoint inside the piece following theta_{k,x}.
+    """The upper endpoint inside the piece following theta_{k,x}.
 
     On (theta_{k,x}, theta_{k+1,x}] the p-value equals
     pi_k(eta) = P_eta(X >= k + 1) + F_eta(x), and its limit from the right at
     theta_{k,x} is pi_k(theta_{k,x}). If that limit is already <= alpha the
-    endpoint is the jump itself and is returned exactly; otherwise bisection
-    shrinks a bracket [b', b] with pi_k(b') > alpha >= pi_k(b) until both
-    b - b' <= delta and pi_k(b') - pi_k(b) <= delta.
+    endpoint is the jump itself and is returned exactly. Past the last jump
+    (k = max(X)) only F_eta(x) remains and the endpoint is the one-sided
+    ``upper_bound``. Otherwise ``_bisect`` shrinks a bracket [b', b] with
+    pi_k(b') > alpha >= pi_k(b) until both b - b' <= delta and
+    pi_k(b') - pi_k(b) <= delta, or until b' and b are adjacent floats.
     """
     family, _ = _unpack(fam_or_model)
     alpha = _check_alpha(alpha)
@@ -271,85 +212,23 @@ def stage_two(fam_or_model, x: int, k: int, alpha: float, delta: float = DEFAULT
     b_lo = special_param(family, x, k)
     p_lo = piece(b_lo)
     if p_lo <= alpha:
-        return SterneResult(
-            k_star=k,
-            bound=b_lo,
-            bracket=(b_lo, b_lo),
-            bracket_pvalues=(p_lo, p_lo),
-            achieved=p_lo,
-            at_jump=True,
-            delta=delta,
-        )
+        return _endpoint(k, b_lo, b_lo, p_lo, p_lo, delta, at_jump=True)
     b_hi = special_param(family, x, k + 1)
-    p_hi = piece(b_hi)
-    iterations = 0
-    while b_hi - b_lo > delta or p_lo - p_hi > delta:
-        mid = 0.5 * (b_lo + b_hi) if math.isfinite(b_hi) else b_lo + 1.0
-        p_mid = piece(mid)
-        if p_mid > alpha:
-            b_lo, p_lo = mid, p_mid
-        else:
-            b_hi, p_hi = mid, p_mid
-        iterations += 1
-        if iterations > 5000:
-            raise DivergentSearch("stage-two bisection failed to converge")
-    return SterneResult(
-        k_star=k,
-        bound=b_hi,
-        bracket=(b_lo, b_hi),
-        bracket_pvalues=(p_lo, p_hi),
-        achieved=p_hi,
-        at_jump=False,
-        delta=delta,
-    )
+    if math.isinf(b_hi):
+        b = upper_bound(family, x, alpha)
+        p_b = piece(b)
+        return _endpoint(k, b, b, p_b, p_b, delta)
+    return _endpoint(k, *_bisect(piece, b_lo, b_hi, p_lo, piece(b_hi), alpha, delta, delta), delta)
 
 
 def _upper_result(family: LatticeFamily, x: int, alpha: float, delta: float) -> SterneResult:
-    if x not in family.support:
-        raise OutOfSupport(f"x = {x} is not in the support")
-    x = int(x)
-    hi = family.support.hi
-    if x == hi:
-        return SterneResult(
-            k_star=None,
-            bound=math.inf,
-            bracket=(math.inf, math.inf),
-            bracket_pvalues=(1.0, 1.0),
-            achieved=1.0,
-            at_jump=False,
-            delta=delta,
-        )
-    k = stage_one(family, x, alpha)
-    if family.support.bounded_above and k == int(hi):
-        # past the last jump only the left tail F_eta(x) remains
-        t = special_param(family, x, k)
-        p_t = family.distribution(t).cdf(x)
-        if p_t <= alpha:
-            return SterneResult(
-                k_star=k,
-                bound=t,
-                bracket=(t, t),
-                bracket_pvalues=(p_t, p_t),
-                achieved=p_t,
-                at_jump=True,
-                delta=delta,
-            )
-        b = upper_bound(family, x, alpha)
-        p_b = family.distribution(b).cdf(x)
-        return SterneResult(
-            k_star=k,
-            bound=b,
-            bracket=(b, b),
-            bracket_pvalues=(p_b, p_b),
-            achieved=p_b,
-            at_jump=False,
-            delta=delta,
-        )
-    return stage_two(family, x, k, alpha, delta)
+    if x == family.support.hi:
+        return _endpoint(None, math.inf, math.inf, 1.0, 1.0, delta)
+    return stage_two(family, x, stage_one(family, x, alpha), alpha, delta)
 
 
 def _lower_result(family: LatticeFamily, x: int, alpha: float, delta: float) -> SterneResult:
-    r = _upper_result(reflect(family), -int(x), alpha, delta)
+    r = _upper_result(reflect(family), -x, alpha, delta)
     return SterneResult(
         k_star=None if r.k_star is None else -r.k_star,
         bound=-r.bound,
@@ -364,24 +243,25 @@ def _lower_result(family: LatticeFamily, x: int, alpha: float, delta: float) -> 
 def sterne_upper(fam_or_model, x: int, alpha: float, delta: float = DEFAULT_DELTA) -> float:
     """Upper endpoint of the Sterne confidence set (+inf at the support max)."""
     family, _ = _unpack(fam_or_model)
-    return _upper_result(family, int(x), _check_alpha(alpha), _check_delta(delta)).bound
+    x = _check_x(family, x)
+    return _upper_result(family, x, _check_alpha(alpha), _check_delta(delta)).bound
 
 
 def sterne_lower(fam_or_model, x: int, alpha: float, delta: float = DEFAULT_DELTA) -> float:
     """Lower endpoint of the Sterne confidence set (-inf at the support min)."""
     family, _ = _unpack(fam_or_model)
-    if x not in family.support:
-        raise OutOfSupport(f"x = {x} is not in the support")
-    return _lower_result(family, int(x), _check_alpha(alpha), _check_delta(delta)).bound
+    x = _check_x(family, x)
+    return _lower_result(family, x, _check_alpha(alpha), _check_delta(delta)).bound
 
 
 def sterne_interval(fam_or_model, x: int, alpha: float, delta: float = DEFAULT_DELTA):
     """Closed hull of {eta : pi(x, eta) > alpha} on both parameter scales."""
     family, to_natural = _unpack(fam_or_model)
+    x = _check_x(family, x)
     alpha = _check_alpha(alpha)
     delta = _check_delta(delta)
-    lo = _lower_result(family, int(x), alpha, delta)
-    hi = _upper_result(family, int(x), alpha, delta)
+    lo = _lower_result(family, x, alpha, delta)
+    hi = _upper_result(family, x, alpha, delta)
     return ConfidenceInterval(
         method="sterne",
         alpha=alpha,

@@ -6,6 +6,8 @@ from scipy.stats import beta, gamma
 
 from exactci import (
     BadAlpha,
+    LatticeFamily,
+    LatticeSupport,
     OutOfSupport,
     clopper_pearson,
     lower_bound,
@@ -17,6 +19,7 @@ from exactci import (
     pvalue_two,
     upper_bound,
 )
+from exactci.bounds import _bisect
 
 ALPHAS = (0.025, 0.05, 0.2)
 
@@ -176,6 +179,20 @@ class TestClopperPearson:
         assert pvalue_left(bin20, 5, ci.theta_hi) <= alpha / 2
         assert pvalue_right(bin20, 5, ci.theta_lo) <= alpha / 2
 
+    def test_huge_theta_ends_on_adjacent_floats(self):
+        # theta near 1e7 has a float spacing of 1.9e-9, above THETA_TOL, so
+        # the bisection must stop when the bracket holds no float inside
+        fam = LatticeFamily(LatticeSupport(0, 40), lambda xs: -1e6 * xs**2)
+        ci = clopper_pearson(fam, 5, 0.05)
+        # the plateau of x = 5 is [9e6, 1.1e7]
+        assert 8.9e6 < ci.theta_lo < 9e6 and 1.1e7 < ci.theta_hi < 1.11e7
+        assert pvalue_left(fam, 5, ci.theta_hi) <= 0.025
+        assert pvalue_right(fam, 5, ci.theta_lo) <= 0.025
+
+    def test_unknown_keyword_rejected(self, bin20):
+        with pytest.raises(TypeError):
+            clopper_pearson(bin20, 5, 0.05, dleta=1e-8)
+
     def test_poisson_million_brackets_without_overshoot(self):
         # the bracket grows from the plateau width (1e-6 here), so it never
         # asks for a rate whose window passes the enumeration cap
@@ -234,3 +251,19 @@ class TestOneSidedCoverage:
             d = fam.distribution(float(eta))
             cov = float(d.pmf_values[bounds >= eta].sum())
             assert cov >= 1.0 - alpha - 1e-9
+
+
+class TestBisect:
+    def test_stops_when_no_float_is_left_inside(self):
+        lo, hi = 2.0**30, 2.0**30 + 1.0
+        got = _bisect(lambda t: -t, lo, hi, -lo, -hi, -(lo + 0.3), 1e-12, math.inf)
+        b_lo, b_hi, f_lo, f_hi = got
+        assert b_hi == np.nextafter(b_lo, math.inf)
+        assert f_lo > -(lo + 0.3) >= f_hi == -b_hi
+
+    def test_gap_keeps_halving_a_narrow_bracket(self):
+        # the width is already below tol; the f gap alone drives the halving
+        f = lambda t: -1e6 * t
+        b_lo, b_hi, f_lo, f_hi = _bisect(f, 0.0, 1e-3, 0.0, -1e3, -500.0, 1.0, 1e-3)
+        assert f_lo - f_hi <= 1e-3
+        assert f_lo > -500.0 >= f_hi

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from exactci import (
     make_binomial,
     plateau,
     pvalue_left,
+    reflect,
     special_param,
     stage_one,
     stage_two,
@@ -25,6 +27,7 @@ from exactci import (
     sterne_pvalue,
     sterne_pvalue_oracle,
     sterne_upper,
+    upper_bound,
 )
 
 ALPHA = 0.05
@@ -113,6 +116,17 @@ class TestOracleEquivalence:
             for eta in etas:
                 got = sterne_pvalue(pois, x, float(eta)).value
                 want = sterne_pvalue_oracle(pois, x, float(eta))
+                assert got == pytest.approx(want, abs=1e-9)
+
+    def test_reflected_poisson(self, pois):
+        # -X of a Poisson is unbounded below, so the pieces left of the
+        # plateau need the unbounded k search of the reflection's reflection
+        fam = reflect(pois.family)
+        etas = -(np.linspace(math.log(0.05), math.log(30.0), 50) + 1e-4)
+        for x in (0, -3, -7):
+            for eta in etas:
+                got = sterne_pvalue(fam, x, float(eta)).value
+                want = sterne_pvalue_oracle(fam, x, float(eta))
                 assert got == pytest.approx(want, abs=1e-9)
 
 
@@ -254,6 +268,19 @@ class TestStageTwo:
         assert abs(coarse.bound - fine.bound) <= 1e-4 + 1e-10
         assert coarse.bracket[1] - coarse.bracket[0] <= 1e-4
 
+    def test_delta_below_float_spacing(self, bin20):
+        # the bracket runs out of floats before it is 1e-17 wide
+        tiny = sterne_interval(bin20, 10, ALPHA, delta=1e-17)
+        assert tiny.theta_hi == sterne_interval(bin20, 10, ALPHA, delta=1e-15).theta_hi
+
+    def test_past_last_jump_is_the_one_sided_bound(self, bin20):
+        # at k = max(X) only F(x) remains; its root is the one-sided bound
+        assert stage_one(bin20, 17, ALPHA) == 20
+        r = stage_two(bin20, 17, 20, ALPHA)
+        assert not r.at_jump
+        assert r.bound == upper_bound(bin20, 17, ALPHA)
+        assert r.achieved == bin20.family.distribution(r.bound).cdf(17) <= ALPHA
+
     def test_k_not_above_x_rejected(self, bin20):
         with pytest.raises(ValueError):
             stage_two(bin20, 5, 5, ALPHA)
@@ -313,6 +340,14 @@ class TestEndpoints:
         assert all(a < b for a, b in zip(ups, ups[1:]))
         by_alpha = [sterne_upper(bin20, 5, a) for a in (0.2, 0.05, 0.01)]
         assert by_alpha[0] < by_alpha[1] < by_alpha[2]
+
+    @pytest.mark.parametrize("fn", [sterne_interval, sterne_upper, sterne_lower])
+    @pytest.mark.parametrize("x", [5.7, True, 21])
+    def test_x_outside_support_named(self, bin20, fn, x):
+        # checked before any int(x): 5.7 and True are not outcomes, and 21
+        # is named as given, not as its reflection -21
+        with pytest.raises(OutOfSupport, match=re.escape(f"x = {x} is not")):
+            fn(bin20, x, ALPHA)
 
     def test_binomial_mirror_symmetry(self, bin20):
         # swapping successes and failures flips the parameter sign
@@ -404,6 +439,17 @@ class TestDegenerateSearches:
         fam = harmonic_family()
         with pytest.raises(DivergentSearch):
             stage_one(fam, 3, 1e-4, probe_cap=1 << 14)
+
+    def test_huge_special_parameters(self):
+        # theta near 1e9 has a float spacing of 1.2e-7, above the default
+        # delta, so stage two ends on adjacent floats instead of a cap
+        fam = LatticeFamily(LatticeSupport(0, 40), lambda xs: -1e8 * xs**2)
+        ci = sterne_interval(fam, 5, ALPHA)
+        # the plateau of x = 5 is [9e8, 1.1e9]
+        assert 8.9e8 < ci.theta_lo < 9e8 and 1.1e9 < ci.theta_hi < 1.11e9
+        assert ci.pvalue_lo <= ALPHA and ci.pvalue_hi <= ALPHA
+        assert sterne_pvalue(fam, 5, ci.theta_lo + 1.0).value > ALPHA
+        assert sterne_pvalue(fam, 5, ci.theta_hi - 1.0).value > ALPHA
 
     def test_oracle_rejects_offwindow_x(self, pois):
         # the naive oracle only sees the summation window; x far outside it

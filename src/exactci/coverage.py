@@ -23,7 +23,7 @@ import numpy as np
 
 from .bounds import _unpack, clopper_pearson, lower_bound, upper_bound
 from .errors import UnboundedEnumeration
-from .sterne import DEFAULT_DELTA, sterne_interval
+from .sterne import DEFAULT_DELTA, _sweep, sterne_interval
 
 _TAIL = 1e-14
 
@@ -67,6 +67,15 @@ def interval_bounds(fam_or_model, method: str, x: int, alpha: float, delta: floa
     return -math.inf, a, to_natural(-math.inf), to_natural(a)
 
 
+def _bounds_of(fam_or_model, method: str, xs, alpha: float, delta: float) -> list[tuple]:
+    """``interval_bounds`` of each x in xs; Sterne ends come from one sweep."""
+    if method != "sterne":
+        return [interval_bounds(fam_or_model, method, x, alpha, delta) for x in xs]
+    family, to_natural = _unpack(fam_or_model)
+    ends = _sweep(family, xs, alpha, delta)
+    return [(a, b, to_natural(a), to_natural(b)) for a, b in (ends[x] for x in xs)]
+
+
 def exact_coverage(
     fam_or_model,
     method: str,
@@ -78,7 +87,11 @@ def exact_coverage(
     """Audit one method over a grid of canonical parameters.
 
     ``eta_grid`` may contain -inf/+inf where the matching support endpoint is
-    finite. Expected lengths are reported for bounded supports only.
+    finite. Expected lengths are reported for bounded supports only. Sterne
+    intervals come from one sweep over the outcomes: upper ends over
+    ascending x, each stage one warm-started at the previous k_star, and
+    lower ends as upper ends of the reflection over ascending -x. Each
+    endpoint is bit-identical to the one ``interval_bounds`` gives.
     """
     family, to_natural = _unpack(fam_or_model)
     method = _canon_method(method)
@@ -102,11 +115,7 @@ def exact_coverage(
             i = min(int(np.searchsorted(d._cum, 1.0 - _TAIL)), len(d.xs) - 1)
             xs = list(range(int(family.support.lo), int(d.xs[i]) + 1))
 
-    per_x = {x: interval_bounds(fam_or_model, method, x, alpha, delta) for x in xs}
-    t_lo = np.asarray([per_x[x][0] for x in xs])
-    t_hi = np.asarray([per_x[x][1] for x in xs])
-    n_lo = np.asarray([per_x[x][2] for x in xs])
-    n_hi = np.asarray([per_x[x][3] for x in xs])
+    t_lo, t_hi, n_lo, n_hi = map(np.asarray, zip(*_bounds_of(fam_or_model, method, xs, alpha, delta)))
 
     full = list(grid)
     if include_endpoints:
@@ -152,16 +161,15 @@ def exact_coverage(
 def length_table(fam_or_model, methods, alpha: float, xs, delta: float = DEFAULT_DELTA) -> dict:
     """Natural-scale interval lengths per outcome, one array per method.
 
-    Infinite lengths are reported as inf.
+    Infinite lengths are reported as inf. Sterne rows come from the same
+    warm-started sweep as in :func:`exact_coverage`.
     """
+    xs = [int(x) for x in xs]
     out = {}
     for method in methods:
         name = _canon_method(method)
-        rows = []
-        for x in xs:
-            _, _, nat_lo, nat_hi = interval_bounds(fam_or_model, name, int(x), alpha, delta)
-            rows.append(nat_hi - nat_lo)
-        out[name] = np.asarray(rows)
+        rows = _bounds_of(fam_or_model, name, xs, alpha, delta)
+        out[name] = np.asarray([nat_hi - nat_lo for _, _, nat_lo, nat_hi in rows])
     return out
 
 

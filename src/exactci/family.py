@@ -18,10 +18,17 @@ only over a summation window: the points whose log summand lies within
 on each side that has one, widened on an unbounded side to the family's
 ``tail_floor`` witness. The same rule cuts finite and infinite sides. Every
 point off the window has a pmf that rounds to exactly 0.0 in double
-precision, so no pmf, cdf or sf value depends on the cut. Tail probabilities
-are accumulated from the near end (upper tails are summed downward, never
-computed as one minus a cdf), so jump heights of order the smallest pmf value
-survive in float arithmetic.
+precision, so no pmf, cdf or sf value depends on the cut. On a bounded
+support the window is read straight off the cached log-weight table: the mode
+is one bisection of the table indices and each cut a gallop out from it. No
+other per-point array is cached. The shipped bounded models' tables are most
+of a large model's memory, and a second array, such as the negated
+differences a ``np.searchsorted`` for the mode would need, would double it to
+save a few table reads per evaluation.
+
+Tail probabilities are accumulated from the near end (upper tails are summed
+downward, never computed as one minus a cdf), so jump heights of order the
+smallest pmf value survive in float arithmetic.
 """
 
 from __future__ import annotations
@@ -267,15 +274,26 @@ class LatticeFamily:
 
     def _logw(self, x: int) -> float:
         if self.support.bounded:
-            return float(self._table[int(x) - int(self.support.lo)])
+            return self._table.item(int(x) - int(self.support.lo))
         return float(self.log_weight(np.asarray([x], dtype=float))[0])
 
     def _score(self, x: int, theta: float) -> float:
         return self._logw(x) + theta * int(x)
 
     def _mode(self, theta: float) -> int:
-        """Argmax of log w_x + theta x; the difference sequence is strictly decreasing."""
+        """Argmax of log w_x + theta x: the first x where the summands stop rising.
+
+        rising(x) is fl(fl(log w_{x+1} - log w_x) + theta) > 0, monotone in x
+        because the differences are strictly decreasing and float rounding is
+        monotone, so every search for its first false point finds the same x.
+        A bounded support bisects its table indices; an unbounded one gallops
+        from the support point nearest 0.
+        """
         lo, hi = self.support.lo, self.support.hi
+        if self.support.bounded:
+            t, last = self._table.item, int(hi) - int(lo)
+            falling = lambda i: i == last or not t(i + 1) - t(i) + theta > 0.0
+            return int(lo) + _search(falling, -1, +1, last, last + 1)
 
         def rising(x: int) -> bool:
             return x < hi and self._logw(x + 1) - self._logw(x) + theta > 0.0
@@ -291,7 +309,11 @@ class LatticeFamily:
         """First point past the mode whose log summand sits TAIL_DROP below it,
         or the support end on that side when no point does."""
         end = self.support.hi if direction > 0 else self.support.lo
-        dropped = lambda x: g_mode - self._score(x, theta) > TAIL_DROP
+        if self.support.bounded:
+            t, lo = self._table.item, int(self.support.lo)
+            dropped = lambda x: g_mode - (t(x - lo) + theta * x) > TAIL_DROP
+        else:
+            dropped = lambda x: g_mode - self._score(x, theta) > TAIL_DROP
         return _search(dropped, mode, direction, end, 8)
 
     def _window(self, theta: float) -> tuple[int, int, float]:

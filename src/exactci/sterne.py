@@ -23,7 +23,9 @@ and the p-value gap fall below delta, or once no float lies strictly inside
 the bracket. Past the last jump of a bounded support the endpoint is the
 one-sided bound. Lower endpoints, and the pieces left of the plateau in
 ``sterne_pvalue``, reuse the same searches on the reflected family, whose
-special parameters are the exact negations. The returned interval is the
+special parameters are the exact negations. Whole-support sweeps
+(``exact_coverage``, ``length_table``) start each outcome's stage one at the
+previous outcome's k_star. The returned interval is the
 closed hull of the confidence set, so its coverage is never below the
 nominal level.
 """
@@ -34,7 +36,7 @@ import math
 from dataclasses import dataclass
 
 from .bounds import ConfidenceInterval, _bisect, _check_alpha, _check_x, _unpack, upper_bound
-from .errors import BadDelta, OutOfSupport
+from .errors import BadDelta, OutOfSupport, UnboundedEnumeration
 from .family import STEP_CAP, LatticeFamily, _search, reflect, special_param
 
 DEFAULT_DELTA = 1e-8
@@ -166,22 +168,51 @@ def stage_one(fam_or_model, x: int, alpha: float, probe_cap: int = STEP_CAP) -> 
     bisection follows. On an unbounded one the probes sit at x + 2, x + 4,
     x + 8, ... until one falls below alpha, which must happen for any family
     whose jump values decay to zero; a probe past x + ``probe_cap`` raises
-    DivergentSearch.
+    DivergentSearch. A probe whose summation window is too large counts as
+    past the crossing. The search then ends either on such a probe, whose
+    error is raised, or between two evaluated probes, which pin the crossing.
     """
     family, _ = _unpack(fam_or_model)
     alpha = _check_alpha(alpha)
     x = _check_x(family, x)
-    hi = family.support.hi
-    if x == hi:
+    if x == family.support.hi:
         raise ValueError("x is the support maximum; the upper bound is +inf")
+    return _k_star(family, x, alpha, probe_cap)
+
+
+def _k_star(family: LatticeFamily, x: int, alpha: float, probe_cap: int = STEP_CAP,
+            start: int | None = None) -> int:
+    """``stage_one`` for a checked x < max(X), warm-started at ``start`` when given.
+
+    The warm search walks up from ``start`` by doubling steps from 1. It is
+    taken only when the jump value at ``start`` is still >= alpha, so it
+    ends on the same k as the cold search.
+    """
+    hi = family.support.hi
+    too_wide = {}
 
     def below(k: int) -> bool:
         # pi(x, theta_{x+1,x}) = 1 on the plateau edge
-        return k > hi or (k > x + 1 and _pvalue_at_jump(family, x, k) < alpha)
+        if k > hi:
+            return True
+        if k <= x + 1:
+            return False
+        try:
+            return _pvalue_at_jump(family, x, k) < alpha
+        except UnboundedEnumeration as err:
+            too_wide[k] = err
+            return True
 
-    if family.support.bounded_above:
-        return _search(below, x + 1, +1, hi + 1, max(1, hi - x - 1), probe_cap) - 1
-    return _search(below, x, +1, hi, 2, probe_cap) - 1
+    start = None if start is None else max(start, x + 1)
+    if start is not None and not below(start):
+        k = _search(below, start, +1, hi + 1, 1, probe_cap)
+    elif family.support.bounded_above:
+        k = _search(below, x + 1, +1, hi + 1, max(1, hi - x - 1), probe_cap)
+    else:
+        k = _search(below, x, +1, hi, 2, probe_cap)
+    if k in too_wide:
+        raise too_wide[k]
+    return k - 1
 
 
 def stage_two(fam_or_model, x: int, k: int, alpha: float, delta: float = DEFAULT_DELTA) -> SterneResult:
@@ -221,10 +252,16 @@ def stage_two(fam_or_model, x: int, k: int, alpha: float, delta: float = DEFAULT
     return _endpoint(k, *_bisect(piece, b_lo, b_hi, p_lo, piece(b_hi), alpha, delta, delta), delta)
 
 
-def _upper_result(family: LatticeFamily, x: int, alpha: float, delta: float) -> SterneResult:
+def _upper_result(family: LatticeFamily, x: int, alpha: float, delta: float,
+                  start: int | None = None) -> SterneResult:
+    """The upper endpoint; ``start`` is the k_star of a smaller outcome, if known.
+
+    Single calls (no ``start``) search cold through ``stage_one``.
+    """
     if x == family.support.hi:
         return _endpoint(None, math.inf, math.inf, 1.0, 1.0, delta)
-    return stage_two(family, x, stage_one(family, x, alpha), alpha, delta)
+    k = stage_one(family, x, alpha) if start is None else _k_star(family, x, alpha, start=start)
+    return stage_two(family, x, k, alpha, delta)
 
 
 def _lower_result(family: LatticeFamily, x: int, alpha: float, delta: float) -> SterneResult:
@@ -238,6 +275,29 @@ def _lower_result(family: LatticeFamily, x: int, alpha: float, delta: float) -> 
         at_jump=r.at_jump,
         delta=r.delta,
     )
+
+
+def _sweep(family: LatticeFamily, xs, alpha: float, delta: float) -> dict[int, tuple[float, float]]:
+    """{x: (theta_lo, theta_hi)} for every outcome in xs, as ``sterne_interval`` gives them.
+
+    k_star is nondecreasing in x, so the upper ends run over ascending x with
+    each stage one warm-started at the previous k_star; the lower ends are
+    upper ends of the reflection over ascending -x.
+    """
+    xs = sorted({_check_x(family, x) for x in xs})
+    alpha, delta = _check_alpha(alpha), _check_delta(delta)
+
+    def uppers(fam: LatticeFamily, zs) -> list[float]:
+        ends, k = [], None
+        for z in zs:
+            r = _upper_result(fam, z, alpha, delta, k)
+            ends.append(r.bound)
+            k = r.k_star
+        return ends
+
+    his = uppers(family, xs)
+    los = [-b for b in reversed(uppers(reflect(family), [-x for x in reversed(xs)]))]
+    return {x: ends for x, ends in zip(xs, zip(los, his))}
 
 
 def sterne_upper(fam_or_model, x: int, alpha: float, delta: float = DEFAULT_DELTA) -> float:

@@ -10,6 +10,9 @@ from exactci import (
     interval_bounds,
     length_table,
     lower_bound,
+    make_binomial,
+    make_odds_ratio,
+    make_poisson,
     reflect,
     upper_bound,
     write_csv,
@@ -124,6 +127,27 @@ class TestLengthTable:
         assert lt["lower"][0] == pytest.approx(want, abs=1e-15)
         lt = length_table(pois, ["lower"], 0.05, [5])
         assert lt["lower"][0] == math.inf
+
+
+SWEEPS = [(make_binomial(20), 8.0), (make_binomial(200), 8.0),
+          (make_odds_ratio(49, 317, 245), 4.0), (make_poisson(), 3.0)]
+
+
+class TestSterneSweep:
+    """Whole-support sweeps warm-start stage one, with per-x results unchanged."""
+
+    @pytest.mark.parametrize("model,span", SWEEPS)
+    def test_sweep_endpoints_equal_single_calls(self, model, span):
+        support = model.family.support
+        xs = list(range(int(support.lo), int(support.hi) + 1 if support.bounded else 80))
+        single = [interval_bounds(model, "sterne", x, 0.05) for x in xs]
+        # the audited grid is the user grid plus every endpoint inside it
+        grid = np.linspace(-span, span, 5).tolist()
+        ends = [t for row in single for t in row[:2] if -span <= t <= span]
+        report = exact_coverage(model, "sterne", 0.05, grid)
+        assert report.grid.tolist() == sorted(set(grid + ends))
+        lengths = length_table(model, ["sterne"], 0.05, xs[::-1])["sterne"]
+        assert lengths.tolist() == [nat_hi - nat_lo for _, _, nat_lo, nat_hi in single[::-1]]
 
 
 class TestCsv:

@@ -27,6 +27,7 @@ from exactci import (
     truncated_geometric_variance,
     validate,
 )
+from exactci.family import TAIL_DROP
 
 
 def table_family(weights, lo=0):
@@ -418,3 +419,49 @@ class TestSummationWindow:
         assert len(d.xs) < 2 * 10**4  # about 39 sd either side of the mode
         d = make_poisson().family.distribution(math.log(1e6))
         assert d.xs[0] > 9 * 10**5
+
+
+def score_window(family, theta):
+    """(a, b, g_mode) of a bounded family by linear scans through ``_score``:
+    the mode is the first x where log w_{x+1} - log w_x + theta > 0 fails, and
+    each cut the first point past it whose summand sits TAIL_DROP below."""
+    lo, hi = int(family.support.lo), int(family.support.hi)
+    m = next(x for x in range(lo, hi + 1)
+             if x == hi or not family._logw(x + 1) - family._logw(x) + theta > 0.0)
+    gm = family._score(m, theta)
+    dropped = lambda x: gm - family._score(x, theta) > TAIL_DROP
+    a = next((x for x in range(m, lo - 1, -1) if dropped(x)), lo)
+    b = next((x for x in range(m, hi + 1) if dropped(x)), hi)
+    return a, b, gm
+
+
+MODE_FAMILIES = [m.family for m in (make_binomial(20), make_binomial(200), make_binomial(1000),
+                                    make_odds_ratio(49, 317, 245))]
+MODE_FAMILIES += [reflect(f) for f in MODE_FAMILIES]
+
+
+class TestBoundedMode:
+    """A bounded family bisects its log-weight table for the mode."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mode_and_window_match_the_score_rule(self, data):
+        fam = data.draw(st.sampled_from(MODE_FAMILIES))
+        t = fam._table
+        i = data.draw(st.integers(0, len(t) - 2))
+        # the exact tie of outcomes i and i + 1, any theta, and the extremes
+        theta = data.draw(st.one_of(
+            st.just(-(t.item(i + 1) - t.item(i))),
+            st.floats(-1e3, 1e3),
+            st.sampled_from([-1e3, 1e3]),
+        ))
+        lo = int(fam.support.lo)
+        xs = np.arange(lo, lo + len(t))
+        g = t + theta * xs
+        first = lo + int(np.argmax(g))
+        m = fam._mode(theta)
+        # a tie rounds either way in t + theta * xs, so there the first argmax
+        # may be either neighbour
+        tie = 4.0 * np.spacing(np.abs(t).max() + abs(theta) * np.abs(xs).max())
+        assert m == first or (abs(m - first) == 1 and g[first - lo] - g[m - lo] <= tie)
+        assert fam._window(theta) == score_window(fam, theta)

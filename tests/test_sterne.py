@@ -14,6 +14,7 @@ from exactci import (
     LatticeSupport,
     NotLogConcave,
     OutOfSupport,
+    UnboundedEnumeration,
     jump_limits,
     make_binomial,
     plateau,
@@ -29,6 +30,7 @@ from exactci import (
     sterne_upper,
     upper_bound,
 )
+from exactci.sterne import _k_star
 
 ALPHA = 0.05
 
@@ -226,6 +228,15 @@ class TestStageOne:
         with pytest.raises(ValueError):
             stage_one(bin20, 20, 0.05)
 
+    @pytest.mark.parametrize("name,x", [("bin20", 5), ("bin20", 10), ("or_big", 42), ("pois", 3)])
+    def test_warm_start_gives_the_cold_k(self, name, x, request):
+        # a hint at or below k_star walks up to it; one above it is refused
+        # and the cold search runs instead
+        fam = request.getfixturevalue(name).family
+        k = stage_one(fam, x, ALPHA)
+        for start in (x + 1, k - 1, k, k + 1, k + 7):
+            assert _k_star(fam, x, ALPHA, start=start) == k
+
 
 class TestStageTwo:
     def test_poisson_lands_on_jump(self, pois):
@@ -420,6 +431,14 @@ class TestEndpoints:
         assert info.value.x == 1
 
 
+def negative_binomial(r=3.0):
+    """Weights C(x + r - 1, x) on 0, 1, ...; they sum only for theta < 0."""
+    return LatticeFamily(
+        LatticeSupport(0, math.inf),
+        lambda xs: gammaln(np.asarray(xs, dtype=float) + r) - gammaln(np.asarray(xs) + 1.0),
+    )
+
+
 def harmonic_family():
     """Log-concave weights with slopes -1 + 1/(x+1): theta_{k,x} converges to
     1 and the jump values decay only like log(k)/k, so a small alpha pushes
@@ -450,6 +469,21 @@ class TestDegenerateSearches:
         assert ci.pvalue_lo <= ALPHA and ci.pvalue_hi <= ALPHA
         assert sterne_pvalue(fam, 5, ci.theta_lo + 1.0).value > ALPHA
         assert sterne_pvalue(fam, 5, ci.theta_hi - 1.0).value > ALPHA
+
+    def test_probes_past_the_window_cap(self):
+        # near theta = 0 the window needs about 746/|theta| points, so stage
+        # one's doubling probes ask for windows past the cap before the
+        # crossing; such a probe counts as past it
+        fam = negative_binomial()
+        ci = sterne_interval(fam, 1, 1e-6)
+        for t, side in ((ci.theta_lo, -1.0), (ci.theta_hi, 1.0)):
+            assert sterne_pvalue_oracle(fam, 1, t + side * 1e-6) <= 1e-6
+            assert sterne_pvalue_oracle(fam, 1, t - side * 1e-6) > 1e-6
+        # here the search ends on a probe past the cap
+        with pytest.raises(UnboundedEnumeration):
+            stage_one(fam, 5, 1e-6)
+        with pytest.raises(UnboundedEnumeration):
+            sterne_interval(fam, 1, 1e-7)
 
     def test_oracle_rejects_offwindow_x(self, pois):
         # the naive oracle only sees the summation window; x far outside it

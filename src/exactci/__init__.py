@@ -16,7 +16,7 @@ from .bounds import (
     pvalue_two,
     upper_bound,
 )
-from .coverage import CoverageReport, exact_coverage, interval_bounds, length_table, write_csv
+from .coverage import CoverageReport, exact_coverage, length_table, write_csv
 from .errors import (
     BadAlpha,
     BadDelta,
@@ -35,14 +35,7 @@ from .family import (
     Distribution,
     LatticeFamily,
     LatticeSupport,
-    SpecialParamLadder,
-    cdf,
-    ladder,
-    log_pmf,
-    plateau,
-    reflect,
     special_param,
-    truncated_geometric_variance,
     validate,
 )
 from .models import (
@@ -56,14 +49,10 @@ from .models import (
 from .sterne import (
     DEFAULT_DELTA,
     PValueEvaluation,
-    SterneResult,
     jump_limits,
-    stage_one,
-    stage_two,
     sterne_interval,
     sterne_lower,
     sterne_pvalue,
-    sterne_pvalue_oracle,
     sterne_upper,
 )
 
@@ -89,38 +78,26 @@ __all__ = [
     "NotLogConcave",
     "OutOfSupport",
     "PValueEvaluation",
-    "SpecialParamLadder",
-    "SterneResult",
     "TwoByTwoTable",
     "UnboundedEnumeration",
-    "cdf",
     "clopper_pearson",
     "exact_coverage",
-    "interval_bounds",
     "jump_limits",
-    "ladder",
     "length_table",
-    "log_pmf",
     "lower_bound",
     "make_binomial",
     "make_odds_ratio",
     "make_poisson",
     "one_sided_interval",
-    "plateau",
     "point_estimate",
     "pvalue_left",
     "pvalue_right",
     "pvalue_two",
-    "reflect",
     "special_param",
-    "stage_one",
-    "stage_two",
     "sterne_interval",
     "sterne_lower",
     "sterne_pvalue",
-    "sterne_pvalue_oracle",
     "sterne_upper",
-    "truncated_geometric_variance",
     "upper_bound",
     "validate",
     "write_csv",

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BadAlpha, DivergentSearch, OutOfSupport
+from .errors import BadAlpha, DivergentSearch, OutOfSupport, UnboundedEnumeration
 from .family import LatticeFamily, plateau, reflect
 from .models import Model
 
@@ -29,10 +29,6 @@ def _unpack(obj) -> tuple[LatticeFamily, callable]:
     if isinstance(obj, LatticeFamily):
         return obj, lambda t: t
     raise TypeError(f"expected a Model or LatticeFamily, got {type(obj).__name__}")
-
-
-def _family(obj) -> LatticeFamily:
-    return _unpack(obj)[0]
 
 
 def _check_alpha(alpha) -> float:
@@ -95,18 +91,27 @@ def _solve_decreasing_cdf(family: LatticeFamily, x: int, target: float) -> float
     of x and grows outward in doubling steps that start at the plateau width,
     then ``_bisect`` shrinks it to THETA_TOL. The upper end of the bracket is
     returned: F there is at most the target, the conservative side for an
-    upper bound.
+    upper bound. As in ``stage_one``, a probe whose evaluation raises
+    DivergentSearch or UnboundedEnumeration counts as past the crossing; its
+    error is raised if the search returns it or must grow the bracket past it.
     """
     lo, hi = plateau(family, x)
     if not math.isfinite(lo):
         lo = hi - 1.0
     step = hi - lo
+    failed = {}
 
     def cdf(theta: float) -> float:
-        return family.distribution(theta).cdf(x)
+        try:
+            return family.distribution(theta).cdf(x)
+        except (DivergentSearch, UnboundedEnumeration) as err:
+            failed[theta] = err
+            return -math.inf
 
     f_lo, f_hi, grow = cdf(lo), None, step
     while f_lo < target:
+        if lo in failed:
+            raise failed[lo]
         lo, hi, f_hi = lo - grow, lo, f_lo
         grow *= 2.0
         if grow > 2.0**80:
@@ -120,12 +125,15 @@ def _solve_decreasing_cdf(family: LatticeFamily, x: int, target: float) -> float
         if grow > 2.0**80:
             raise DivergentSearch("no upper bracket for the cdf equation")
         f_hi = cdf(hi)
-    return _bisect(cdf, lo, hi, f_lo, f_hi, target, THETA_TOL, math.inf)[1]
+    hi = _bisect(cdf, lo, hi, f_lo, f_hi, target, THETA_TOL, math.inf)[1]
+    if hi in failed:
+        raise failed[hi]
+    return hi
 
 
 def upper_bound(fam_or_model, x: int, alpha: float) -> float:
     """Exact upper confidence bound: the theta with F_theta(x) = alpha."""
-    family = _family(fam_or_model)
+    family = _unpack(fam_or_model)[0]
     alpha = _check_alpha(alpha)
     x = _check_x(family, x)
     if x == family.support.hi:
@@ -135,7 +143,7 @@ def upper_bound(fam_or_model, x: int, alpha: float) -> float:
 
 def lower_bound(fam_or_model, x: int, alpha: float) -> float:
     """Exact lower confidence bound: the theta with P_theta(X >= x) = alpha."""
-    family = _family(fam_or_model)
+    family = _unpack(fam_or_model)[0]
     alpha = _check_alpha(alpha)
     x = _check_x(family, x)
     if x == family.support.lo:
@@ -146,14 +154,14 @@ def lower_bound(fam_or_model, x: int, alpha: float) -> float:
 
 def pvalue_left(fam_or_model, x: int, theta: float) -> float:
     """P_theta(X <= x), the left tail at the observed outcome."""
-    family = _family(fam_or_model)
+    family = _unpack(fam_or_model)[0]
     x = _check_x(family, x)
     return family.distribution(theta).cdf(x)
 
 
 def pvalue_right(fam_or_model, x: int, theta: float) -> float:
     """P_theta(X >= x), the right tail at the observed outcome."""
-    family = _family(fam_or_model)
+    family = _unpack(fam_or_model)[0]
     x = _check_x(family, x)
     return family.distribution(theta).sf(x)
 

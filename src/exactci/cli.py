@@ -55,19 +55,16 @@ def _add_curve(p: argparse.ArgumentParser, required: bool) -> None:
     p.add_argument("--points", type=int, default=500, help="curve sample count")
 
 
-def _add_model_args(p: argparse.ArgumentParser, kind: str, with_x: bool = True) -> None:
+def _add_model_args(p: argparse.ArgumentParser, kind: str) -> None:
     if kind == "binomial":
         p.add_argument("--n", type=int, required=True)
-        if with_x:
-            p.add_argument("--x", type=int, required=True, help="observed count")
-    elif kind == "poisson":
-        if with_x:
-            p.add_argument("--x", type=int, required=True, help="observed count")
-    else:
-        p.add_argument("--y1", type=int, required=with_x, help="events in group 1")
-        p.add_argument("--n1", type=int, required=True)
-        p.add_argument("--y2", type=int, required=True, help="events in group 2")
-        p.add_argument("--n2", type=int, required=True)
+    if kind != "oddsratio":
+        p.add_argument("--x", type=int, required=True, help="observed count")
+        return
+    p.add_argument("--y1", type=int, required=True, help="events in group 1")
+    p.add_argument("--n1", type=int, required=True)
+    p.add_argument("--y2", type=int, required=True, help="events in group 2")
+    p.add_argument("--n2", type=int, required=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,20 +225,23 @@ def _curve_jumps(model, x, t_from, t_to):
     return below[::-1] + above
 
 
+def _natural_grid(start, end, points: int, what: str) -> list[float]:
+    """``points`` evenly spaced natural values from ``start`` to ``end``."""
+    if start is None or end is None:
+        raise BadGrid(f"{what} needs --from and --to")
+    if points < 2:
+        raise BadGrid(f"{what} needs at least 2 points")
+    if not start < end:
+        raise BadGrid(f"{what} needs --from < --to")
+    return [start + (end - start) * i / (points - 1) for i in range(points)]
+
+
 def _print_curve(model, x, args, out=sys.stdout) -> None:
-    if args.curve_from is None or args.curve_to is None:
-        raise BadGrid("curve emission needs --from and --to")
-    if args.points < 2:
-        raise BadGrid("curve needs at least 2 points")
-    if not args.curve_from < args.curve_to:
-        raise BadGrid("curve needs --from < --to")
+    rows = []
+    for nat in _natural_grid(args.curve_from, args.curve_to, args.points, "curve"):
+        rows.append((nat, sterne_pvalue(model, x, model.from_natural(nat)).value, "sample"))
     t_from = model.from_natural(args.curve_from)
     t_to = model.from_natural(args.curve_to)
-    rows = []
-    for i in range(args.points):
-        nat = args.curve_from + (args.curve_to - args.curve_from) * i / (args.points - 1)
-        theta = model.from_natural(nat)
-        rows.append((nat, sterne_pvalue(model, x, theta).value, "sample"))
     for k in _curve_jumps(model, x, t_from, t_to):
         t, left, right = jump_limits(model, x, k)
         nat = model.to_natural(t)
@@ -254,16 +254,8 @@ def _print_curve(model, x, args, out=sys.stdout) -> None:
 
 
 def _print_audit(model, args, out=sys.stdout) -> None:
-    if not args.grid_from < args.grid_to:
-        raise BadGrid("audit needs --from < --to")
-    if args.points < 2:
-        raise BadGrid("audit needs at least 2 points")
-    grid = [
-        model.from_natural(
-            args.grid_from + (args.grid_to - args.grid_from) * i / (args.points - 1)
-        )
-        for i in range(args.points)
-    ]
+    nats = _natural_grid(args.grid_from, args.grid_to, args.points, "audit")
+    grid = [model.from_natural(v) for v in nats]
     report = exact_coverage(model, args.method, args.alpha, grid, args.delta)
     write_csv(report, out)
 
@@ -280,12 +272,9 @@ def run(argv=None, out=sys.stdout) -> int:
         else:
             _print_intervals(model, x, args, out)
         return 0
-    except _ARGUMENT_ERRORS as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 2
     except ExactCIError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(e, _ARGUMENT_ERRORS) else 1
 
 
 def main() -> None:

@@ -82,16 +82,16 @@ def exact_coverage(
     alpha: float,
     eta_grid,
     delta: float = DEFAULT_DELTA,
-    include_endpoints: bool = True,
 ) -> CoverageReport:
     """Audit one method over a grid of canonical parameters.
 
     ``eta_grid`` may contain -inf/+inf where the matching support endpoint is
-    finite. Expected lengths are reported for bounded supports only. Sterne
-    intervals come from one sweep over the outcomes: upper ends over
-    ascending x, each stage one warm-started at the previous k_star, and
-    lower ends as upper ends of the reflection over ascending -x. Each
-    endpoint is bit-identical to the one ``interval_bounds`` gives.
+    finite. Every finite interval endpoint inside the grid's span is always
+    audited too, so ``min_coverage`` is exact over that span. Expected
+    lengths are reported for bounded supports only. Sterne intervals come
+    from one warm-started sweep over the outcomes (upper ends over ascending
+    x, lower ends on the reflection), each endpoint bit-identical to the one
+    ``interval_bounds`` gives.
     """
     family, to_natural = _unpack(fam_or_model)
     method = _canon_method(method)
@@ -118,19 +118,15 @@ def exact_coverage(
     t_lo, t_hi, n_lo, n_hi = map(np.asarray, zip(*_bounds_of(fam_or_model, method, xs, alpha, delta)))
 
     full = list(grid)
-    if include_endpoints:
-        span_lo, span_hi = min(grid), max(grid)
-        for t in np.concatenate([t_lo, t_hi]):
-            if math.isfinite(t) and span_lo <= t <= span_hi:
-                full.append(float(t))
+    span_lo, span_hi = min(grid), max(grid)
+    for t in np.concatenate([t_lo, t_hi]):
+        if math.isfinite(t) and span_lo <= t <= span_hi:
+            full.append(float(t))
     full = sorted(set(full))
 
-    lengths = None
-    want_lengths = family.support.bounded
-    if want_lengths:
-        lengths = []
-        len_x = n_hi - n_lo
-        len_finite = np.isfinite(len_x)
+    lengths = [] if family.support.bounded else None
+    len_x = n_hi - n_lo
+    len_finite = np.isfinite(len_x)
     coverage = []
     for eta in full:
         d = family.distribution(eta)
@@ -140,7 +136,7 @@ def exact_coverage(
         pmf[i : i + n] = d.pmf_values[:n]
         member = (t_lo <= eta) & (eta <= t_hi)
         coverage.append(float(pmf[member].sum()))
-        if want_lengths:
+        if lengths is not None:
             val = float(np.dot(pmf[len_finite], len_x[len_finite]))
             if np.any(~len_finite & (pmf > 0.0)):
                 val = math.inf

@@ -186,10 +186,6 @@ class Distribution:
 
     def cdf(self, x) -> float:
         """P(X <= x) for any integer x."""
-        if x < self.support.lo:
-            return 0.0
-        if x >= self.support.hi:
-            return 1.0
         if x < self.xs[0]:
             return 0.0
         if x >= self.xs[-1]:
@@ -198,10 +194,6 @@ class Distribution:
 
     def sf(self, x) -> float:
         """P(X >= x) for any integer x, summed from the tail inward."""
-        if x <= self.support.lo:
-            return 1.0
-        if x > self.support.hi:
-            return 0.0
         if x <= self.xs[0]:
             return 1.0
         if x > self.xs[-1]:
@@ -421,44 +413,6 @@ def special_param(family: LatticeFamily, x: int, k: int) -> float:
     return (family._logw(x) - family._logw(k)) / (int(k) - int(x))
 
 
-@dataclass(frozen=True)
-class SpecialParamLadder:
-    """theta_{k,x} for a fixed x, keyed by k; strictly increasing in k."""
-
-    x: int
-    entries: dict[int, float]
-
-    def ks(self) -> list[int]:
-        return sorted(self.entries)
-
-
-def ladder(
-    family: LatticeFamily,
-    x: int,
-    k_min: int | None = None,
-    k_max: int | None = None,
-) -> SpecialParamLadder:
-    """Materialize the special parameters for one x, sentinels included.
-
-    Unbounded sides need an explicit k_min / k_max.
-    """
-    lo, hi = family.support.lo, family.support.hi
-    if k_min is None:
-        if not family.support.bounded_below:
-            raise UnboundedEnumeration("k_min required for a support unbounded below")
-        k_min = int(lo) - 1
-    if k_max is None:
-        if not family.support.bounded_above:
-            raise UnboundedEnumeration("k_max required for a support unbounded above")
-        k_max = int(hi) + 1
-    entries = {}
-    for k in range(int(k_min), int(k_max) + 1):
-        if k == x:
-            continue
-        entries[k] = special_param(family, x, k)
-    return SpecialParamLadder(x=int(x), entries=entries)
-
-
 def plateau(family: LatticeFamily, x: int) -> tuple[float, float]:
     """The closed parameter interval on which the two-sided p-value of x is 1.
 
@@ -475,24 +429,3 @@ def reflect(family: LatticeFamily) -> LatticeFamily:
     log-weight table reversed, and reflecting it again returns the original.
     """
     return family._reflection
-
-
-def truncated_geometric_variance(delta: float, m: int) -> float:
-    """Variance of a geometric-weight distribution on {0, ..., m}.
-
-    Weights are proportional to exp(delta * x). For delta = 0 this is the
-    uniform variance m (m + 2) / 12; otherwise
-
-        B^2 - B - (m + 1)^2 / (2 cosh((m + 1) delta) - 2),   B = e^d / (e^d - 1),
-
-    written below in a cancellation-safe form. Strictly increasing in m.
-    """
-    if not _is_int(m) or m < 0:
-        raise ValueError("m must be a nonnegative integer")
-    if not math.isfinite(delta):
-        raise ValueError("delta must be finite")
-    if delta == 0.0:
-        return m * (m + 2) / 12.0
-    b1 = 1.0 / math.expm1(delta)  # B - 1
-    half = 2.0 * math.sinh((m + 1) * delta / 2.0)  # sqrt(2 cosh((m+1)d) - 2), signed
-    return (1.0 + b1) * b1 - ((m + 1) / half) ** 2

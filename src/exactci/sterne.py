@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 from .bounds import ConfidenceInterval, _bisect, _check_alpha, _check_x, _unpack, upper_bound
 from .errors import BadDelta, OutOfSupport, UnboundedEnumeration
-from .family import STEP_CAP, LatticeFamily, _search, reflect, special_param
+from .family import STEP_CAP, Distribution, LatticeFamily, _search, reflect, special_param
 
 DEFAULT_DELTA = 1e-8
 
@@ -88,6 +88,11 @@ def _clip(p: float) -> float:
     return min(1.0, max(0.0, p))
 
 
+def _two_tails(d: Distribution, a: int, b: int) -> float:
+    """P(X >= a) + P(X <= b), clipped to [0, 1]: the value of one piece of pi."""
+    return _clip(d.sf(a) + d.cdf(b))
+
+
 def sterne_pvalue(fam_or_model, x: int, eta: float) -> PValueEvaluation:
     """Evaluate pi(x, eta) through the piecewise form.
 
@@ -111,15 +116,13 @@ def sterne_pvalue(fam_or_model, x: int, eta: float) -> PValueEvaluation:
 
     if eta > t_hi:
         k = _first_k_at_or_above(family, x, eta)
-        d = family.distribution(eta)
-        value = d.sf(k) + d.cdf(x)
+        value = _two_tails(family.distribution(eta), k, x)
     else:
         # theta_{k,x} of the reflection at (-x, -k) is exactly -theta_{k,x}
         k = -_first_k_at_or_above(reflect(family), -x, -eta)
-        d = family.distribution(eta)
-        value = d.sf(x) + d.cdf(k)
+        value = _two_tails(family.distribution(eta), x, k)
     at = k in family.support and special_param(family, x, k) == eta
-    return PValueEvaluation(_clip(value), k, at)
+    return PValueEvaluation(value, k, at)
 
 
 def _first_k_at_or_above(family: LatticeFamily, x: int, eta: float) -> int:
@@ -129,28 +132,6 @@ def _first_k_at_or_above(family: LatticeFamily, x: int, eta: float) -> int:
     """
     at_or_above = lambda k: special_param(family, x, k) >= eta
     return _search(at_or_above, x + 1, +1, family.support.hi + 1, 1)
-
-
-def sterne_pvalue_oracle(fam_or_model, x: int, eta: float) -> float:
-    """Direct summation of the defining formula over the summation window.
-
-    Kept deliberately naive as a cross-check for :func:`sterne_pvalue`.
-    """
-    family, _ = _unpack(fam_or_model)
-    x = _check_x(family, x)
-    d = family.distribution(float(eta))
-    lp = d.logpmf_values
-    ix = x - int(d.xs[0])
-    if not 0 <= ix < len(d.xs):
-        raise OutOfSupport(f"x = {x} fell outside the summation window")
-    mask = lp <= lp[ix]
-    return _clip(float(d.pmf_values[mask].sum()))
-
-
-def _pvalue_at_jump(family: LatticeFamily, x: int, k: int) -> float:
-    """pi(x, theta_{k,x}) for k > x, where outcome k is still tied with x."""
-    d = family.distribution(special_param(family, x, k))
-    return _clip(d.sf(k) + d.cdf(x))
 
 
 def _endpoint(k, lo: float, hi: float, p_lo: float, p_hi: float, delta: float,
@@ -198,10 +179,12 @@ def _k_star(family: LatticeFamily, x: int, alpha: float, probe_cap: int = STEP_C
         if k <= x + 1:
             return False
         try:
-            return _pvalue_at_jump(family, x, k) < alpha
+            d = family.distribution(special_param(family, x, k))
         except UnboundedEnumeration as err:
             too_wide[k] = err
             return True
+        # pi(x, theta_{k,x}), where outcome k is still tied with x
+        return _two_tails(d, k, x) < alpha
 
     start = None if start is None else max(start, x + 1)
     if start is not None and not below(start):
@@ -237,8 +220,7 @@ def stage_two(fam_or_model, x: int, k: int, alpha: float, delta: float = DEFAULT
         raise ValueError("stage_two expects k > x")
 
     def piece(t: float) -> float:
-        d = family.distribution(t)
-        return _clip(d.sf(k + 1) + d.cdf(x))
+        return _two_tails(family.distribution(t), k + 1, x)
 
     b_lo = special_param(family, x, k)
     p_lo = piece(b_lo)
@@ -346,9 +328,9 @@ def jump_limits(fam_or_model, x: int, k: int) -> tuple[float, float, float]:
     t = special_param(family, x, k)
     d = family.distribution(t)
     if k > x:
-        left = _clip(d.sf(k) + d.cdf(x)) if k > x + 1 else 1.0
-        right = _clip(d.sf(k + 1) + d.cdf(x))
+        left = _two_tails(d, k, x) if k > x + 1 else 1.0
+        right = _two_tails(d, k + 1, x)
     else:
-        left = _clip(d.sf(x) + d.cdf(k - 1))
-        right = _clip(d.sf(x) + d.cdf(k)) if k < x - 1 else 1.0
+        left = _two_tails(d, x, k - 1)
+        right = _two_tails(d, x, k) if k < x - 1 else 1.0
     return t, left, right

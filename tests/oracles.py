@@ -1,0 +1,92 @@
+"""Reference helpers the tests compare the package against.
+
+``sterne_pvalue_oracle`` sums the defining formula of pi(x, eta) directly,
+``ladder`` materializes the special parameters of one outcome, and
+``truncated_geometric_variance`` is the closed-form variance of a truncated
+geometric distribution. None of them is part of the package's API.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+from exactci.bounds import _check_x, _unpack
+from exactci.errors import OutOfSupport, UnboundedEnumeration
+from exactci.family import LatticeFamily, _is_int, special_param
+from exactci.sterne import _clip
+
+
+def sterne_pvalue_oracle(fam_or_model, x: int, eta: float) -> float:
+    """Direct summation of the defining formula over the summation window.
+
+    Kept deliberately naive as a cross-check for :func:`sterne_pvalue`.
+    """
+    family, _ = _unpack(fam_or_model)
+    x = _check_x(family, x)
+    d = family.distribution(float(eta))
+    lp = d.logpmf_values
+    ix = x - int(d.xs[0])
+    if not 0 <= ix < len(d.xs):
+        raise OutOfSupport(f"x = {x} fell outside the summation window")
+    mask = lp <= lp[ix]
+    return _clip(float(d.pmf_values[mask].sum()))
+
+
+@dataclass(frozen=True)
+class SpecialParamLadder:
+    """theta_{k,x} for a fixed x, keyed by k; strictly increasing in k."""
+
+    x: int
+    entries: dict[int, float]
+
+    def ks(self) -> list[int]:
+        return sorted(self.entries)
+
+
+def ladder(
+    family: LatticeFamily,
+    x: int,
+    k_min: int | None = None,
+    k_max: int | None = None,
+) -> SpecialParamLadder:
+    """Materialize the special parameters for one x, sentinels included.
+
+    Unbounded sides need an explicit k_min / k_max.
+    """
+    lo, hi = family.support.lo, family.support.hi
+    if k_min is None:
+        if not family.support.bounded_below:
+            raise UnboundedEnumeration("k_min required for a support unbounded below")
+        k_min = int(lo) - 1
+    if k_max is None:
+        if not family.support.bounded_above:
+            raise UnboundedEnumeration("k_max required for a support unbounded above")
+        k_max = int(hi) + 1
+    entries = {}
+    for k in range(int(k_min), int(k_max) + 1):
+        if k == x:
+            continue
+        entries[k] = special_param(family, x, k)
+    return SpecialParamLadder(x=int(x), entries=entries)
+
+
+def truncated_geometric_variance(delta: float, m: int) -> float:
+    """Variance of a geometric-weight distribution on {0, ..., m}.
+
+    Weights are proportional to exp(delta * x). For delta = 0 this is the
+    uniform variance m (m + 2) / 12; otherwise
+
+        B^2 - B - (m + 1)^2 / (2 cosh((m + 1) delta) - 2),   B = e^d / (e^d - 1),
+
+    written below in a cancellation-safe form. Strictly increasing in m.
+    """
+    if not _is_int(m) or m < 0:
+        raise ValueError("m must be a nonnegative integer")
+    if not math.isfinite(delta):
+        raise ValueError("delta must be finite")
+    if delta == 0.0:
+        return m * (m + 2) / 12.0
+    b1 = 1.0 / math.expm1(delta)  # B - 1
+    half = 2.0 * math.sinh((m + 1) * delta / 2.0)  # sqrt(2 cosh((m+1)d) - 2), signed
+    return (1.0 + b1) * b1 - ((m + 1) / half) ** 2

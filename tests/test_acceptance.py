@@ -20,10 +20,10 @@ from exactci.bounds import (clopper_pearson, lower_bound, pvalue_left, pvalue_ri
                             upper_bound)
 from exactci.cli import run
 from exactci.coverage import exact_coverage
-from exactci.family import special_param, truncated_geometric_variance
+from exactci.family import special_param
 from exactci.models import make_binomial, make_odds_ratio, make_poisson, point_estimate
-from exactci.sterne import (jump_limits, stage_one, sterne_interval, sterne_pvalue,
-                            sterne_pvalue_oracle, sterne_upper)
+from exactci.sterne import jump_limits, stage_one, sterne_interval, sterne_pvalue, sterne_upper
+from oracles import sterne_pvalue_oracle, truncated_geometric_variance
 
 
 def report(line):

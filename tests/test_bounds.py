@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 from scipy.stats import beta, gamma
 
 from exactci import (
@@ -9,6 +10,7 @@ from exactci import (
     LatticeFamily,
     LatticeSupport,
     OutOfSupport,
+    UnboundedEnumeration,
     clopper_pearson,
     lower_bound,
     make_binomial,
@@ -267,3 +269,52 @@ class TestBisect:
         b_lo, b_hi, f_lo, f_hi = _bisect(f, 0.0, 1e-3, 0.0, -1e3, -500.0, 1.0, 1e-3)
         assert f_lo - f_hi <= 1e-3
         assert f_lo > -500.0 >= f_hi
+
+
+class TestCdfSolverBrackets:
+    def test_upper_bound_grows_the_bracket_downward(self, bin20):
+        # F(5) at the left end of the plateau of 5 is 0.665 < 0.9, so the
+        # bracket must grow below the plateau
+        q = beta.isf(0.9, 6, 15)
+        want = math.log(q) - math.log1p(-q)
+        b = upper_bound(bin20, 5, 0.9)
+        assert 0.0 <= b - want <= 1e-10
+
+    def test_lower_bound_grows_the_bracket_upward(self, bin20):
+        # the mirror image: 20 - X is binomial with the negated log-odds
+        q = beta.isf(0.9, 6, 15)
+        want = -(math.log(q) - math.log1p(-q))
+        a = lower_bound(bin20, 15, 0.9)
+        assert 0.0 <= want - a <= 1e-10
+
+    @pytest.fixture
+    def negbin(self):
+        """Weights C(k + 2, k) on 0, 1, ...; they sum only for theta < 0."""
+        return LatticeFamily(
+            LatticeSupport(0, math.inf),
+            lambda xs: gammaln(np.asarray(xs, dtype=float) + 3.0) - gammaln(np.asarray(xs) + 1.0),
+        )
+
+    @pytest.mark.parametrize("x, alpha", [(1, 1e-6), (5, 0.05), (20, 0.01)])
+    def test_negative_binomial_clopper_pearson(self, negbin, x, alpha):
+        # upper-bracket probes at or near theta = 0 fail and count as past
+        # the crossing, so both ends solve their tail equations
+        ci = clopper_pearson(negbin, x, alpha)
+        assert ci.theta_lo < ci.theta_hi < 0.0
+
+        def pmf(ks, theta):
+            ks = np.asarray(ks, dtype=float)
+            log_norm = 3.0 * math.log1p(-math.exp(theta))
+            return np.exp(gammaln(ks + 3.0) - gammaln(ks + 1.0) - gammaln(3.0) + log_norm + ks * theta)
+
+        left = float(pmf(np.arange(x + 1), ci.theta_hi).sum())
+        right = float(pmf(np.arange(x, x + 5000), ci.theta_lo).sum())
+        for tail in (left, right):
+            assert tail <= alpha / 2
+            assert tail == pytest.approx(alpha / 2, rel=1e-6)
+
+    def test_negative_binomial_crossing_past_the_window_cap(self, negbin):
+        # at alpha = 1e-15 the upper end lies where every window passes the
+        # cap, so the search returns a failed probe and raises its error
+        with pytest.raises(UnboundedEnumeration):
+            upper_bound(negbin, 5, 1e-15)

@@ -166,6 +166,17 @@ class TestAudit:
         assert all(r[3] == "" for r in rows)
         assert all(float(r[2]) >= 0.95 - 1e-9 for r in rows)
 
+    def test_oddsratio_audit_holds_nominal_level(self):
+        code, out = run_cli("audit", "--model", "oddsratio", "--n1", "49", "--n2", "317",
+                            "--s", "90", "--from", "0.2", "--to", "5", "--points", "21")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) > 21
+        assert float(rows[0][1]) == pytest.approx(0.2)
+        assert float(rows[-1][1]) == pytest.approx(5.0)
+        assert all(float(r[2]) >= 0.95 - 1e-9 for r in rows)
+        assert all(float(r[3]) > 0 for r in rows)
+
     def test_oddsratio_audit_needs_dimensions(self):
         code, _ = run_cli("audit", "--model", "oddsratio",
                           "--from", "0.5", "--to", "2")
@@ -184,6 +195,11 @@ class TestExitCodes:
          "--from", "0.9", "--to", "0.2"),
         ("binomial", "--n", "20", "--x", "5", "--curve",
          "--from", "0.2", "--to", "0.9", "--points", "1"),
+        ("audit", "--model", "binomial", "--n", "20", "--from", "0.9", "--to", "0.9"),
+        ("audit", "--model", "binomial", "--n", "20", "--from", "0.2", "--to", "0.9",
+         "--points", "1"),
+        ("curve", "--model", "binomial", "--x", "5", "--from", "0.2", "--to", "0.9"),
+        ("curve", "--model", "poisson", "--from", "0.5", "--to", "9"),
     ])
     def test_argument_errors_exit_2(self, argv):
         code, out = run_cli(*argv)

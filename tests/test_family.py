@@ -15,19 +15,14 @@ from exactci import (
     NotLogConcave,
     OutOfSupport,
     UnboundedEnumeration,
-    cdf,
-    ladder,
-    log_pmf,
     make_binomial,
     make_odds_ratio,
     make_poisson,
-    plateau,
-    reflect,
     special_param,
-    truncated_geometric_variance,
     validate,
 )
-from exactci.family import TAIL_DROP
+from exactci.family import TAIL_DROP, cdf, log_pmf, plateau, reflect
+from oracles import ladder, truncated_geometric_variance
 
 
 def table_family(weights, lo=0):
@@ -129,6 +124,14 @@ class TestLogPmf:
     def test_infinite_theta_needs_finite_endpoint(self, pois):
         with pytest.raises(InadmissibleInfiniteTheta):
             log_pmf(pois.family, math.inf, 3)
+
+    def test_point_off_the_window(self):
+        # x = 0 lies deep in the truncated tail, so the value comes from the
+        # log weight rather than the window's table: f(0) = 2^-2000
+        fam = make_binomial(2000).family
+        d = fam.distribution(0.0)
+        assert (int(d.xs[0]), int(d.xs[-1])) == (195, 1805)
+        assert log_pmf(fam, 0.0, 0) == pytest.approx(-2000 * math.log(2.0), rel=1e-12)
 
 
 class TestCdf:

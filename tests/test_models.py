@@ -13,9 +13,9 @@ from exactci import (
     make_binomial,
     make_odds_ratio,
     make_poisson,
-    plateau,
     point_estimate,
 )
+from exactci.family import plateau
 
 
 class TestMakeBinomial:

@@ -17,20 +17,17 @@ from exactci import (
     UnboundedEnumeration,
     jump_limits,
     make_binomial,
-    plateau,
     pvalue_left,
-    reflect,
     special_param,
-    stage_one,
-    stage_two,
     sterne_interval,
     sterne_lower,
     sterne_pvalue,
-    sterne_pvalue_oracle,
     sterne_upper,
     upper_bound,
 )
-from exactci.sterne import _k_star
+from exactci.family import plateau, reflect
+from exactci.sterne import _k_star, stage_one, stage_two
+from oracles import sterne_pvalue_oracle
 
 ALPHA = 0.05
 

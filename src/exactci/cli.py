@@ -236,12 +236,20 @@ def _natural_grid(start, end, points: int, what: str) -> list[float]:
     return [start + (end - start) * i / (points - 1) for i in range(points)]
 
 
+def _thetas(model, nats) -> list[float]:
+    """theta for each natural value; a value off the natural range is a BadGrid."""
+    try:
+        return [model.from_natural(v) for v in nats]
+    except ValueError as e:
+        raise BadGrid(str(e)) from None
+
+
 def _print_curve(model, x, args, out=sys.stdout) -> None:
+    nats = _natural_grid(args.curve_from, args.curve_to, args.points, "curve")
+    t_from, t_to = _thetas(model, [args.curve_from, args.curve_to])
     rows = []
-    for nat in _natural_grid(args.curve_from, args.curve_to, args.points, "curve"):
-        rows.append((nat, sterne_pvalue(model, x, model.from_natural(nat)).value, "sample"))
-    t_from = model.from_natural(args.curve_from)
-    t_to = model.from_natural(args.curve_to)
+    for nat, t in zip(nats, _thetas(model, nats)):
+        rows.append((nat, sterne_pvalue(model, x, t).value, "sample"))
     for k in _curve_jumps(model, x, t_from, t_to):
         t, left, right = jump_limits(model, x, k)
         nat = model.to_natural(t)
@@ -255,7 +263,7 @@ def _print_curve(model, x, args, out=sys.stdout) -> None:
 
 def _print_audit(model, args, out=sys.stdout) -> None:
     nats = _natural_grid(args.grid_from, args.grid_to, args.points, "audit")
-    grid = [model.from_natural(v) for v in nats]
+    grid = _thetas(model, nats)
     report = exact_coverage(model, args.method, args.alpha, grid, args.delta)
     write_csv(report, out)
 

@@ -112,7 +112,7 @@ def exact_coverage(
         else:
             top = max(finite)
             d = family.distribution(top)
-            i = min(int(np.searchsorted(d._cum, 1.0 - _TAIL)), len(d.xs) - 1)
+            i = min(int(np.searchsorted(np.cumsum(d.pmf_values), 1.0 - _TAIL)), len(d.xs) - 1)
             xs = list(range(int(family.support.lo), int(d.xs[i]) + 1))
 
     t_lo, t_hi, n_lo, n_hi = map(np.asarray, zip(*_bounds_of(fam_or_model, method, xs, alpha, delta)))

@@ -24,11 +24,16 @@ is one bisection of the table indices and each cut a gallop out from it. No
 other per-point array is cached. The shipped bounded models' tables are most
 of a large model's memory, and a second array, such as the negated
 differences a ``np.searchsorted`` for the mode would need, would double it to
-save a few table reads per evaluation.
+save a few table reads per evaluation. A family with an unbounded side has no
+table, and each weight it reads is one ``log_weight`` call, so its searches
+start where its last window was found: the mode gallops from the last mode,
+and each cut from the last cut's distance to the mode. Both search
+predicates are monotone, so the window does not depend on the start.
 
 Tail probabilities are accumulated from the near end (upper tails are summed
 downward, never computed as one minus a cdf), so jump heights of order the
-smallest pmf value survive in float arithmetic.
+smallest pmf value survive in float arithmetic. A tail is summed only when
+it is asked for, over the part of the window it covers.
 """
 
 from __future__ import annotations
@@ -66,15 +71,14 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def _search(
-    pred: Callable, start: int, direction: int, end: int | float, step: int, cap: int = STEP_CAP
-) -> int:
+def _search(pred: Callable, start: int, direction: int, end: int | float, step: int) -> int:
     """First x past ``start`` in ``direction`` with pred(x) true, or ``end``.
 
     pred must be false at start and monotone along the walk. Probes sit at
     start + direction * step with the step doubling until pred holds or the
     walk reaches ``end``, then a bisection finds the first point. A probe
-    with step above ``cap`` raises DivergentSearch instead.
+    with step above ``STEP_CAP`` (read at call time) raises DivergentSearch
+    instead.
     """
     near = start
     while True:
@@ -84,7 +88,7 @@ def _search(
             if not pred(far):
                 return far
             break
-        if step > cap:
+        if step > STEP_CAP:
             raise DivergentSearch(f"the doubling search from x = {start} did not end")
         if pred(far):
             break
@@ -148,23 +152,31 @@ class Distribution:
     ``cdf`` is 0 below the window and 1 above it. ``cdf`` is exactly 0 below
     the support and exactly 1 at or above its maximum; ``sf(x)`` is the
     inclusive upper tail P(X >= x).
+
+    Only the window's log summands ``g`` = log w_x + theta x, their shifted
+    exponentials ``e`` = exp(g - g_mode) and ``s`` = sum(e) are computed up
+    front. The pmf and logpmf arrays are built on first read, and ``cdf`` and
+    ``sf`` sum only the part of the window they need, each as the last entry
+    of a running sum from its window end, so their values are those of a
+    full cumulative sum of ``pmf_values``.
     """
 
     support: LatticeSupport
     theta: float
     xs: np.ndarray
     log_norm: float
-    logpmf_values: np.ndarray
-    pmf_values: np.ndarray
+    g: np.ndarray
+    e: np.ndarray
+    s: float
     _log_weight: Callable | None = field(repr=False, default=None)
 
     @cached_property
-    def _cum(self) -> np.ndarray:
-        return np.minimum(np.cumsum(self.pmf_values), 1.0)
+    def logpmf_values(self) -> np.ndarray:
+        return self.g - self.log_norm
 
     @cached_property
-    def _tail(self) -> np.ndarray:
-        return np.minimum(np.cumsum(self.pmf_values[::-1])[::-1], 1.0)
+    def pmf_values(self) -> np.ndarray:
+        return self.e / self.s
 
     def _index(self, x: int) -> int:
         return int(x) - int(self.xs[0])
@@ -176,7 +188,7 @@ class Distribution:
             return 0.0 if int(x) == int(self.xs[0]) else -math.inf
         i = self._index(x)
         if 0 <= i < len(self.xs):
-            return float(self.logpmf_values[i])
+            return float(self.g[i]) - self.log_norm
         # off-window point deep in a truncated tail
         g = float(self._log_weight(np.asarray([x], dtype=float))[0]) + self.theta * int(x)
         return g - self.log_norm
@@ -190,7 +202,7 @@ class Distribution:
             return 0.0
         if x >= self.xs[-1]:
             return 1.0
-        return float(self._cum[self._index(x)])
+        return float(min(np.cumsum(self.e[: self._index(x) + 1] / self.s)[-1], 1.0))
 
     def sf(self, x) -> float:
         """P(X >= x) for any integer x, summed from the tail inward."""
@@ -198,7 +210,7 @@ class Distribution:
             return 1.0
         if x > self.xs[-1]:
             return 0.0
-        return float(self._tail[self._index(x)])
+        return float(min(np.cumsum(self.e[self._index(x) :][::-1] / self.s)[-1], 1.0))
 
 
 @dataclass(frozen=True)
@@ -279,7 +291,8 @@ class LatticeFamily:
         because the differences are strictly decreasing and float rounding is
         monotone, so every search for its first false point finds the same x.
         A bounded support bisects its table indices; an unbounded one gallops
-        from the support point nearest 0.
+        from the last mode it found, or at first from the support point
+        nearest 0.
         """
         lo, hi = self.support.lo, self.support.hi
         if self.support.bounded:
@@ -290,7 +303,8 @@ class LatticeFamily:
         def rising(x: int) -> bool:
             return x < hi and self._logw(x + 1) - self._logw(x) + theta > 0.0
 
-        anchor = int(min(max(0, lo), hi))
+        hint = self.__dict__.get("_hint")
+        anchor = hint[0] if hint else int(min(max(0, lo), hi))
         if rising(anchor):
             return _search(lambda x: not rising(x), anchor, +1, hi, 1)
         if anchor == lo or rising(anchor - 1):
@@ -299,14 +313,27 @@ class LatticeFamily:
 
     def _tail_cut(self, theta: float, mode: int, g_mode: float, direction: int) -> int:
         """First point past the mode whose log summand sits TAIL_DROP below it,
-        or the support end on that side when no point does."""
+        or the support end on that side when no point does.
+
+        dropped(x) is monotone outward from the mode, so any start finds the
+        same point. A bounded support gallops out from the mode; an unbounded
+        one starts at the last cut's distance from the mode (at first, at the
+        mode) and walks out or back from there.
+        """
         end = self.support.hi if direction > 0 else self.support.lo
         if self.support.bounded:
             t, lo = self._table.item, int(self.support.lo)
             dropped = lambda x: g_mode - (t(x - lo) + theta * x) > TAIL_DROP
-        else:
-            dropped = lambda x: g_mode - self._score(x, theta) > TAIL_DROP
-        return _search(dropped, mode, direction, end, 8)
+            return _search(dropped, mode, direction, end, 8)
+        dropped = lambda x: g_mode - self._score(x, theta) > TAIL_DROP
+        reach = self.__dict__.get("_hint", (mode, 0, 0))[1 if direction < 0 else 2]
+        start = mode + direction * reach
+        if direction * (start - end) >= 0:
+            start = int(end)
+        if not dropped(start):
+            return _search(dropped, start, direction, end, 1)
+        # the last point not yet dropped, walking back toward the mode
+        return _search(lambda x: not dropped(x), start, -direction, mode, 1) + direction
 
     def _window(self, theta: float) -> tuple[int, int, float]:
         """(a, b, g_mode): the summation window at theta and the mode's log summand."""
@@ -314,6 +341,7 @@ class LatticeFamily:
         gm = self._score(m, theta)
         a = self._tail_cut(theta, m, gm, -1)
         b = self._tail_cut(theta, m, gm, +1)
+        hint = (m, m - a, b - m)
         if self.tail_floor is not None:
             if not self.support.bounded_below:
                 a = min(a, int(self.tail_floor(theta)))
@@ -325,6 +353,9 @@ class LatticeFamily:
             raise UnboundedEnumeration(
                 f"summation window [{first}, {last}] at theta = {theta} is too large"
             )
+        if not self.support.bounded:
+            # start point of the next window search; any start gives the same window
+            self.__dict__["_hint"] = hint
         return a, b, gm
 
     def distribution(self, theta: float) -> Distribution:
@@ -341,7 +372,7 @@ class LatticeFamily:
                 )
             xs = np.asarray([int(endpoint)])
             return Distribution(
-                self.support, theta, xs, 0.0, np.zeros(1), np.ones(1), self.log_weight
+                self.support, theta, xs, 0.0, np.zeros(1), np.ones(1), 1.0, self.log_weight
             )
         self._check_log_concave(theta)
         a, b, gm = self._window(theta)
@@ -354,8 +385,7 @@ class LatticeFamily:
         g = logw + theta * xs
         e = np.exp(g - gm)
         s = float(e.sum())
-        log_norm = gm + math.log(s)
-        return Distribution(self.support, theta, xs, log_norm, g - log_norm, e / s, self.log_weight)
+        return Distribution(self.support, theta, xs, gm + math.log(s), g, e, s, self.log_weight)
 
 
 def validate(family: LatticeFamily, theta: float = 0.0) -> None:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 from .bounds import ConfidenceInterval, _bisect, _check_alpha, _check_x, _unpack, upper_bound
 from .errors import BadDelta, OutOfSupport, UnboundedEnumeration
-from .family import STEP_CAP, Distribution, LatticeFamily, _search, reflect, special_param
+from .family import Distribution, LatticeFamily, _search, reflect, special_param
 
 DEFAULT_DELTA = 1e-8
 
@@ -140,7 +140,7 @@ def _endpoint(k, lo: float, hi: float, p_lo: float, p_hi: float, delta: float,
     return SterneResult(k, hi, (lo, hi), (p_lo, p_hi), p_hi, at_jump, delta)
 
 
-def stage_one(fam_or_model, x: int, alpha: float, probe_cap: int = STEP_CAP) -> int:
+def stage_one(fam_or_model, x: int, alpha: float) -> int:
     """Largest k > x whose jump value pi(x, theta_{k,x}) is still >= alpha.
 
     The jump values decrease in k, so this is one integer search for the
@@ -148,21 +148,21 @@ def stage_one(fam_or_model, x: int, alpha: float, probe_cap: int = STEP_CAP) -> 
     support the first probe is at max(X), with hi + 1 as the sentinel, and a
     bisection follows. On an unbounded one the probes sit at x + 2, x + 4,
     x + 8, ... until one falls below alpha, which must happen for any family
-    whose jump values decay to zero; a probe past x + ``probe_cap`` raises
-    DivergentSearch. A probe whose summation window is too large counts as
-    past the crossing. The search then ends either on such a probe, whose
-    error is raised, or between two evaluated probes, which pin the crossing.
+    whose jump values decay to zero; a probe past x + ``family.STEP_CAP``
+    raises DivergentSearch. A probe whose summation window is too large
+    counts as past the crossing. The search then ends either on such a
+    probe, whose error is raised, or between two evaluated probes, which pin
+    the crossing.
     """
     family, _ = _unpack(fam_or_model)
     alpha = _check_alpha(alpha)
     x = _check_x(family, x)
     if x == family.support.hi:
         raise ValueError("x is the support maximum; the upper bound is +inf")
-    return _k_star(family, x, alpha, probe_cap)
+    return _k_star(family, x, alpha)
 
 
-def _k_star(family: LatticeFamily, x: int, alpha: float, probe_cap: int = STEP_CAP,
-            start: int | None = None) -> int:
+def _k_star(family: LatticeFamily, x: int, alpha: float, start: int | None = None) -> int:
     """``stage_one`` for a checked x < max(X), warm-started at ``start`` when given.
 
     The warm search walks up from ``start`` by doubling steps from 1. It is
@@ -188,11 +188,11 @@ def _k_star(family: LatticeFamily, x: int, alpha: float, probe_cap: int = STEP_C
 
     start = None if start is None else max(start, x + 1)
     if start is not None and not below(start):
-        k = _search(below, start, +1, hi + 1, 1, probe_cap)
+        k = _search(below, start, +1, hi + 1, 1)
     elif family.support.bounded_above:
-        k = _search(below, x + 1, +1, hi + 1, max(1, hi - x - 1), probe_cap)
+        k = _search(below, x + 1, +1, hi + 1, max(1, hi - x - 1))
     else:
-        k = _search(below, x, +1, hi, 2, probe_cap)
+        k = _search(below, x, +1, hi, 2)
     if k in too_wide:
         raise too_wide[k]
     return k - 1

@@ -200,6 +200,9 @@ class TestExitCodes:
          "--points", "1"),
         ("curve", "--model", "binomial", "--x", "5", "--from", "0.2", "--to", "0.9"),
         ("curve", "--model", "poisson", "--from", "0.5", "--to", "9"),
+        ("binomial", "--n", "20", "--x", "5", "--curve", "--from", "-0.5", "--to", "0.5"),
+        ("audit", "--model", "binomial", "--n", "20", "--from", "-0.5", "--to", "0.5"),
+        ("poisson", "--x", "3", "--curve", "--from", "-1", "--to", "5"),
     ])
     def test_argument_errors_exit_2(self, argv):
         code, out = run_cli(*argv)

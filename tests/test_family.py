@@ -424,6 +424,27 @@ class TestSummationWindow:
         assert d.xs[0] > 9 * 10**5
 
 
+class TestTailsOnDemand:
+    """cdf and sf sum only the part of the window they need, in the order of
+    a full cumulative sum, so they equal its entries bit for bit."""
+
+    @pytest.mark.parametrize("model, thetas", [
+        (make_binomial(1000), [-6.0, -1.5, 0.0, 0.7, 5.0]),
+        (make_poisson(), [math.log(v) for v in (0.01, 0.7, 12.0, 400.0, 1e4)]),
+        (make_odds_ratio(49, 317, 245), [-4.0, -0.5, 0.0, 1.0, 4.0]),
+    ])
+    def test_tails_equal_full_cumulative_sums(self, model, thetas):
+        for theta in thetas:
+            d = model.family.distribution(theta)
+            cum = np.minimum(np.cumsum(d.pmf_values), 1.0)
+            tail = np.minimum(np.cumsum(d.pmf_values[::-1])[::-1], 1.0)
+            xs = [int(x) for x in d.xs]
+            assert [d.cdf(x) for x in xs[:-1]] == list(cum[:-1])
+            assert [d.sf(x) for x in xs[1:]] == list(tail[1:])
+            # the window ends keep their exact values
+            assert d.cdf(xs[-1]) == 1.0 and d.sf(xs[0]) == 1.0
+
+
 def score_window(family, theta):
     """(a, b, g_mode) of a bounded family by linear scans through ``_score``:
     the mode is the first x where log w_{x+1} - log w_x + theta > 0 fails, and

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import digamma, gammaln
 from scipy.stats import binom
 
@@ -17,6 +19,7 @@ from exactci import (
     UnboundedEnumeration,
     jump_limits,
     make_binomial,
+    make_poisson,
     pvalue_left,
     special_param,
     sterne_interval,
@@ -25,6 +28,7 @@ from exactci import (
     sterne_upper,
     upper_bound,
 )
+import exactci.family
 from exactci.family import plateau, reflect
 from exactci.sterne import _k_star, stage_one, stage_two
 from oracles import sterne_pvalue_oracle
@@ -449,12 +453,13 @@ def harmonic_family():
 
 
 class TestDegenerateSearches:
-    def test_divergent_stage_one(self):
+    def test_divergent_stage_one(self, monkeypatch):
         # jump value near k = 2^14 is still about 2e-3, and the alpha = 1e-4
         # crossing lies past k = 1e5, so the capped probe must give up
+        monkeypatch.setattr(exactci.family, "STEP_CAP", 1 << 14)
         fam = harmonic_family()
         with pytest.raises(DivergentSearch):
-            stage_one(fam, 3, 1e-4, probe_cap=1 << 14)
+            stage_one(fam, 3, 1e-4)
 
     def test_huge_special_parameters(self):
         # theta near 1e9 has a float spacing of 1.2e-7, above the default
@@ -487,3 +492,55 @@ class TestDegenerateSearches:
         # is a usage error rather than a silent zero
         with pytest.raises(OutOfSupport):
             sterne_pvalue_oracle(pois, 500, math.log(0.01))
+
+
+def two_sided_family():
+    """Weights exp(-x^2 / 50) on all of Z: both sides unbounded."""
+    return LatticeFamily(LatticeSupport(-math.inf, math.inf),
+                         lambda xs: -np.asarray(xs, dtype=float) ** 2 / 50)
+
+
+# name: (fresh family, theta range, outcome range); harmonic thetas stay
+# below 0.98, where windows are under 4e4 points
+WARM_FAMILIES = {
+    "poisson": (lambda: make_poisson().family, (-6.0, 12.0), (0, 200)),
+    "reflected poisson": (lambda: reflect(make_poisson().family), (-12.0, 6.0), (-200, 0)),
+    "harmonic": (harmonic_family, (-10.0, 0.98), (0, 3)),
+    "two-sided": (two_sided_family, (-40.0, 40.0), (-50, 50)),
+}
+
+
+class TestWarmWindowSearch:
+    """A family with an unbounded side starts each window search at its last
+    window; the window, the pmf and the intervals must not depend on that."""
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_warm_family_equals_a_cold_copy(self, data):
+        make, (t_lo, t_hi), (x_lo, x_hi) = WARM_FAMILIES[
+            data.draw(st.sampled_from(sorted(WARM_FAMILIES)))]
+        warm = make()
+        for theta in data.draw(st.lists(st.floats(t_lo, t_hi), min_size=1, max_size=8)):
+            dw, dc = warm.distribution(theta), make().distribution(theta)
+            assert np.array_equal(dw.xs, dc.xs)
+            assert dw.pmf_values.tobytes() == dc.pmf_values.tobytes()
+        x = data.draw(st.integers(x_lo, x_hi))
+        alpha = data.draw(st.sampled_from([0.3, 0.1, 0.05]))
+        assert sterne_interval(warm, x, alpha) == sterne_interval(make(), x, alpha)
+
+    @pytest.mark.parametrize("name, theta, warm_up, error", [
+        ("poisson", 16.0, [14.0, 2.0], UnboundedEnumeration),
+        ("poisson", 1e3, [14.0], DivergentSearch),
+        ("reflected poisson", -16.0, [-14.0], UnboundedEnumeration),
+        ("harmonic", 1 - 1e-4, [0.9, 0.98], UnboundedEnumeration),
+        ("harmonic", 1.0, [0.9], DivergentSearch),
+    ])
+    def test_past_the_cap_raises_the_same_error_warm_or_cold(self, name, theta, warm_up, error):
+        make = WARM_FAMILIES[name][0]
+        with pytest.raises(error):
+            make().distribution(theta)
+        warm = make()
+        for t in warm_up:
+            warm.distribution(t)
+        with pytest.raises(error):
+            warm.distribution(theta)

@@ -3,12 +3,13 @@
 The upper bound b_alpha(x) is the unique theta with F_theta(x) = alpha
 (+inf when x is the support maximum); the lower bound a_alpha(x) solves
 P_theta(X >= x) = alpha (-inf when x is the support minimum). Both come from
-a bracketed bisection on theta: F_theta(x) is continuous and strictly
-decreasing in theta, so the initial bracket grows from the plateau endpoints
-by doubling steps until it straddles the target, then ``_bisect`` shrinks it.
-``_bisect`` is also the bisection under every Sterne endpoint. Lower bounds
-are solved as upper bounds of the reflected family, so both tails are summed
-from their far end and keep their digits at tiny alpha.
+a bracketed search on theta: F_theta(x) is continuous and strictly decreasing
+in theta, and log F_theta(x) is concave with slope E[X | X <= x] - E[X], so
+one Newton step from the plateau brackets the root and ``_bisect`` shrinks
+the bracket by safeguarded Newton steps. ``_bisect`` also ends every Sterne
+endpoint that is not a jump. Lower bounds are solved as upper bounds of the
+reflected family, so both tails are summed from their far end and keep their
+digits at tiny alpha.
 """
 
 from __future__ import annotations
@@ -64,49 +65,83 @@ class ConfidenceInterval:
     delta: float | None = None
 
 
-def _bisect(f, lo, hi, f_lo, f_hi, target, tol, gap):
+def _newton(t, f_t, df, target):
+    """The Newton step on log f from t to log target, if f(t) > 0 > df = f'(t)."""
+    if df is not None and f_t > 0.0 and df < 0.0:
+        return t + (math.log(target) - math.log(f_t)) * f_t / df
+    return None
+
+
+def _bisect(f, lo, hi, f_lo, f_hi, target, tol, gap, slope=None):
     """Shrink a bracket of a decreasing f with f(lo) > target >= f(hi).
 
-    Halves it until it is at most ``tol`` wide and f falls by at most ``gap``
-    across it, or until no float lies strictly inside it (the midpoint rounds
-    to an end), so a tolerance below the float spacing cannot stall it.
-    Returns (lo, hi, f_lo, f_hi); hi is the conservative end.
+    Each step evaluates one point strictly inside the bracket, until it is at
+    most ``tol`` wide and f falls by at most ``gap`` across it, or until no
+    float lies strictly inside it, so a tolerance below the float spacing
+    cannot stall it. Returns (lo, hi, f_lo, f_hi); hi is the conservative end.
+
+    The point is the midpoint unless ``slope(t)`` gives f'(t) at the point f
+    last evaluated (at the start lo, if the caller evaluated it last, else hi).
+    Then it is the Newton step on log f from there, kept as in rtsafe
+    (Numerical Recipes 9.4) only if it lands inside the bracket and is under
+    half the step before the last. It aims w/4 past the root, w = min(tol,
+    gap / |f'|), clear of the rounding of f; once that aim is within w/2 of
+    hi, a probe at hi - 0.99 w certifies the other end instead. A w under 64
+    float spacings, where rounding decides the crossing, is left to midpoints.
     """
+    t, f_t = (lo, f_lo) if slope and slope(lo) is not None else (hi, f_hi)
+    before = last = math.inf
     while hi - lo > tol or f_lo - f_hi > gap:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
+        p = 0.5 * (lo + hi)
+        if not lo < p < hi:
             break
-        f_mid = f(mid)
-        if f_mid > target:
-            lo, f_lo = mid, f_mid
+        df = slope(t) if slope else None
+        step = _newton(t, f_t, df, target)
+        if step is not None and (w := min(tol, gap / -df)) > 64.0 * math.ulp(t):
+            step = t - 0.99 * w if t == hi and t - step < 0.75 * w else step + 0.25 * w
+            if lo < step < hi and abs(step - t) < 0.5 * before:
+                p = step
+        before, last = last, abs(p - t)
+        t, f_t = p, f(p)
+        if f_t > target:
+            lo, f_lo = t, f_t
         else:
-            hi, f_hi = mid, f_mid
+            hi, f_hi = t, f_t
     return lo, hi, f_lo, f_hi
 
 
 def _solve_decreasing_cdf(family: LatticeFamily, x: int, target: float) -> float:
     """Solve F_theta(x) = target in theta; F is strictly decreasing in theta.
 
-    x must lie below the support maximum. The bracket starts at the plateau
-    of x and grows outward in doubling steps that start at the plateau width,
-    then ``_bisect`` shrinks it to THETA_TOL. The upper end of the bracket is
-    returned: F there is at most the target, the conservative side for an
-    upper bound. As in ``stage_one``, a probe whose evaluation raises
-    DivergentSearch or UnboundedEnumeration counts as past the crossing; its
-    error is raised if the search returns it or must grow the bracket past it.
+    x must lie below the support maximum. log F is concave in theta (its
+    second derivative is Var(X | X <= x) - Var(X) <= 0), so one Newton step
+    on it from the lower end of the plateau of x lands where F <= target and
+    closes the bracket. Without that step (F is 1 or below the target there)
+    the bracket grows from the plateau in doubling steps that start at the
+    plateau width. ``_bisect`` then shrinks it to THETA_TOL, reading
+    d/dtheta F off each evaluation, and its upper end is returned: F there is
+    at most the target, the conservative side for an upper bound. As in
+    ``stage_one``, a probe whose evaluation raises DivergentSearch or
+    UnboundedEnumeration counts as past the crossing; its error is raised if
+    the search returns it or must grow the bracket past it.
     """
     lo, hi = plateau(family, x)
     if not math.isfinite(lo):
         lo = hi - 1.0
     step = hi - lo
-    failed = {}
+    failed, d = {}, None
 
     def cdf(theta: float) -> float:
+        nonlocal d
         try:
-            return family.distribution(theta).cdf(x)
+            d = family.distribution(theta)
         except (DivergentSearch, UnboundedEnumeration) as err:
             failed[theta] = err
             return -math.inf
+        return d.cdf(x)
+
+    def slope(theta: float) -> float | None:  # at the theta cdf evaluated last
+        return d.cdf_slope(x) if d is not None and d.theta == theta else None
 
     f_lo, f_hi, grow = cdf(lo), None, step
     while f_lo < target:
@@ -117,7 +152,10 @@ def _solve_decreasing_cdf(family: LatticeFamily, x: int, target: float) -> float
         if grow > 2.0**80:
             raise DivergentSearch("no lower bracket for the cdf equation")
         f_lo = cdf(lo)
-    f_hi = cdf(hi) if f_hi is None else f_hi
+    if f_hi is None:
+        t = _newton(lo, f_lo, slope(lo), target)
+        hi = t if t is not None and lo < t < math.inf else hi
+        f_hi = cdf(hi)
     grow = step
     while f_hi > target:
         lo, hi, f_lo = hi, hi + grow, f_hi
@@ -125,7 +163,7 @@ def _solve_decreasing_cdf(family: LatticeFamily, x: int, target: float) -> float
         if grow > 2.0**80:
             raise DivergentSearch("no upper bracket for the cdf equation")
         f_hi = cdf(hi)
-    hi = _bisect(cdf, lo, hi, f_lo, f_hi, target, THETA_TOL, math.inf)[1]
+    hi = _bisect(cdf, lo, hi, f_lo, f_hi, target, THETA_TOL, math.inf, slope)[1]
     if hi in failed:
         raise failed[hi]
     return hi
@@ -167,11 +205,11 @@ def pvalue_right(fam_or_model, x: int, theta: float) -> float:
 
 
 def pvalue_two(fam_or_model, x: int, theta: float) -> float:
-    """Twice the smaller tail, capped at 1."""
-    return min(
-        1.0,
-        2.0 * min(pvalue_left(fam_or_model, x, theta), pvalue_right(fam_or_model, x, theta)),
-    )
+    """Twice the smaller tail, capped at 1; both tails come from one evaluation."""
+    family = _unpack(fam_or_model)[0]
+    x = _check_x(family, x)
+    d = family.distribution(theta)
+    return min(1.0, 2.0 * min(d.cdf(x), d.sf(x)))
 
 
 def clopper_pearson(fam_or_model, x: int, alpha: float) -> ConfidenceInterval:

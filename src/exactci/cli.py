@@ -268,9 +268,13 @@ def _print_audit(model, args, out=sys.stdout) -> None:
     write_csv(report, out)
 
 
+_parser = None  # built on first use; parse_args does not change it
+
+
 def run(argv=None, out=sys.stdout) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    _parser = _parser or build_parser()
+    args = _parser.parse_args(argv)
     try:
         model, x = _build_model(args)
         if args.command == "audit":

@@ -212,6 +212,24 @@ class Distribution:
             return 0.0
         return float(min(np.cumsum(self.e[self._index(x) :][::-1] / self.s)[-1], 1.0))
 
+    @cached_property
+    def mean(self) -> float:
+        return float(self.xs @ self.e) / self.s
+
+    def cdf_slope(self, x) -> float:
+        """d/dtheta P(X <= x) = sum over y <= x of (y - E X) p_y, summed over that tail."""
+        if x < self.xs[0] or x >= self.xs[-1]:
+            return 0.0
+        i = self._index(x) + 1
+        return float((self.xs[:i] - self.mean) @ self.e[:i]) / self.s
+
+    def sf_slope(self, x) -> float:
+        """d/dtheta P(X >= x) = sum over y >= x of (y - E X) p_y, summed over that tail."""
+        if x <= self.xs[0] or x > self.xs[-1]:
+            return 0.0
+        i = self._index(x)
+        return float((self.xs[i:] - self.mean) @ self.e[i:]) / self.s
+
 
 @dataclass(frozen=True)
 class LatticeFamily:
@@ -284,7 +302,7 @@ class LatticeFamily:
     def _score(self, x: int, theta: float) -> float:
         return self._logw(x) + theta * int(x)
 
-    def _mode(self, theta: float) -> int:
+    def _mode(self, theta: float, seen: dict | None = None) -> int:
         """Argmax of log w_x + theta x: the first x where the summands stop rising.
 
         rising(x) is fl(fl(log w_{x+1} - log w_x) + theta) > 0, monotone in x
@@ -292,16 +310,21 @@ class LatticeFamily:
         monotone, so every search for its first false point finds the same x.
         A bounded support bisects its table indices; an unbounded one gallops
         from the last mode it found, or at first from the support point
-        nearest 0.
+        nearest 0, reading both weights of a probe in one ``log_weight`` call
+        and keeping each weight it reads in ``seen``.
         """
         lo, hi = self.support.lo, self.support.hi
         if self.support.bounded:
             t, last = self._table.item, int(hi) - int(lo)
             falling = lambda i: i == last or not t(i + 1) - t(i) + theta > 0.0
             return int(lo) + _search(falling, -1, +1, last, last + 1)
+        seen = {} if seen is None else seen
 
         def rising(x: int) -> bool:
-            return x < hi and self._logw(x + 1) - self._logw(x) + theta > 0.0
+            if x >= hi:
+                return False
+            seen[x], seen[x + 1] = map(float, self.log_weight(np.asarray([x, x + 1], dtype=float)))
+            return seen[x + 1] - seen[x] + theta > 0.0
 
         hint = self.__dict__.get("_hint")
         anchor = hint[0] if hint else int(min(max(0, lo), hi))
@@ -337,8 +360,9 @@ class LatticeFamily:
 
     def _window(self, theta: float) -> tuple[int, int, float]:
         """(a, b, g_mode): the summation window at theta and the mode's log summand."""
-        m = self._mode(theta)
-        gm = self._score(m, theta)
+        seen = {}
+        m = self._mode(theta, seen)
+        gm = seen[m] + theta * m if m in seen else self._score(m, theta)
         a = self._tail_cut(theta, m, gm, -1)
         b = self._tail_cut(theta, m, gm, +1)
         hint = (m, m - a, b - m)

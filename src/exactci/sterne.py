@@ -17,11 +17,12 @@ endpoints either at a jump or at a root of the smooth piece.
 
 ``sterne_upper`` finds the upper endpoint in two searches: an integer search
 over k for the last jump value at or above alpha (``stage_one``, on
-``family._search``), then a real bisection inside the following piece
-(``stage_two``, on ``bounds._bisect``) that stops once both the bracket width
-and the p-value gap fall below delta, or once no float lies strictly inside
-the bracket. Past the last jump of a bounded support the endpoint is the
-one-sided bound. Lower endpoints, and the pieces left of the plateau in
+``family._search``), then a root search inside the following piece
+(``stage_two``, on ``bounds._bisect``) by Newton steps on log pi with the
+piece's derivative read off each evaluation, kept inside a bracket that
+stops once both its width and the p-value gap fall below delta, or once no
+float lies strictly inside it. Past the last jump of a bounded support the
+endpoint is the one-sided bound. Lower endpoints, and the pieces left of the plateau in
 ``sterne_pvalue``, reuse the same searches on the reflected family, whose
 special parameters are the exact negations. Whole-support sweeps
 (``exact_coverage``, ``length_table``) start each outcome's stage one at the
@@ -208,7 +209,9 @@ def stage_two(fam_or_model, x: int, k: int, alpha: float, delta: float = DEFAULT
     (k = max(X)) only F_eta(x) remains and the endpoint is the one-sided
     ``upper_bound``. Otherwise ``_bisect`` shrinks a bracket [b', b] with
     pi_k(b') > alpha >= pi_k(b) until both b - b' <= delta and
-    pi_k(b') - pi_k(b) <= delta, or until b' and b are adjacent floats.
+    pi_k(b') - pi_k(b) <= delta, or until b' and b are adjacent floats. Its
+    Newton steps start from theta_{k,x} and use
+    d pi_k / d eta = sum over y >= k + 1 and over y <= x of (y - E X) p_y.
     """
     family, _ = _unpack(fam_or_model)
     alpha = _check_alpha(alpha)
@@ -219,8 +222,15 @@ def stage_two(fam_or_model, x: int, k: int, alpha: float, delta: float = DEFAULT
     if k <= x:
         raise ValueError("stage_two expects k > x")
 
+    d = None
+
     def piece(t: float) -> float:
-        return _two_tails(family.distribution(t), k + 1, x)
+        nonlocal d
+        d = family.distribution(t)
+        return _two_tails(d, k + 1, x)
+
+    def slope(t: float) -> float | None:
+        return d.sf_slope(k + 1) + d.cdf_slope(x) if d.theta == t else None
 
     b_lo = special_param(family, x, k)
     p_lo = piece(b_lo)
@@ -231,7 +241,9 @@ def stage_two(fam_or_model, x: int, k: int, alpha: float, delta: float = DEFAULT
         b = upper_bound(family, x, alpha)
         p_b = piece(b)
         return _endpoint(k, b, b, p_b, p_b, delta)
-    return _endpoint(k, *_bisect(piece, b_lo, b_hi, p_lo, piece(b_hi), alpha, delta, delta), delta)
+    # evaluated apart from ``piece``, so that the Newton steps start from b_lo
+    p_hi = _two_tails(family.distribution(b_hi), k + 1, x)
+    return _endpoint(k, *_bisect(piece, b_lo, b_hi, p_lo, p_hi, alpha, delta, delta, slope), delta)
 
 
 def _upper_result(family: LatticeFamily, x: int, alpha: float, delta: float,

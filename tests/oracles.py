@@ -1,9 +1,10 @@
 """Reference helpers the tests compare the package against.
 
 ``sterne_pvalue_oracle`` sums the defining formula of pi(x, eta) directly,
-``ladder`` materializes the special parameters of one outcome, and
+``ladder`` materializes the special parameters of one outcome,
 ``truncated_geometric_variance`` is the closed-form variance of a truncated
-geometric distribution. None of them is part of the package's API.
+geometric distribution, and ``count_evaluations`` counts the calls of
+``LatticeFamily.distribution``. None of them is part of the package's API.
 """
 
 from __future__ import annotations
@@ -90,3 +91,16 @@ def truncated_geometric_variance(delta: float, m: int) -> float:
     b1 = 1.0 / math.expm1(delta)  # B - 1
     half = 2.0 * math.sinh((m + 1) * delta / 2.0)  # sqrt(2 cosh((m+1)d) - 2), signed
     return (1.0 + b1) * b1 - ((m + 1) / half) ** 2
+
+
+def count_evaluations(monkeypatch) -> list:
+    """A list that grows by one theta for each LatticeFamily.distribution call."""
+    calls = []
+    evaluate = LatticeFamily.distribution
+
+    def counted(self, theta):
+        calls.append(theta)
+        return evaluate(self, theta)
+
+    monkeypatch.setattr(LatticeFamily, "distribution", counted)
+    return calls

@@ -10,6 +10,7 @@ import math
 
 import pytest
 
+import exactci.cli
 from exactci.bounds import clopper_pearson
 from exactci.cli import run
 from exactci.models import make_binomial
@@ -227,3 +228,31 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run(["binomial", "--x", "3"], out=io.StringIO())
         assert exc.value.code == 2
+
+
+class TestParserReuse:
+    REQUESTS = [
+        ("binomial", "--n", "20", "--x", "5", "--format", "json"),
+        ("poisson", "--x", "3", "--method", "cp", "--format", "csv"),
+        ("oddsratio", "--y1", "42", "--n1", "49", "--y2", "203", "--n2", "317"),
+    ]
+
+    def test_requests_match_a_fresh_parser(self, monkeypatch):
+        cached = [run_cli(*argv) for argv in self.REQUESTS]
+        parser = exactci.cli._parser
+        assert parser is not None
+        assert [run_cli(*argv) for argv in self.REQUESTS] == cached
+        assert exactci.cli._parser is parser
+        fresh = []
+        for argv in self.REQUESTS:
+            monkeypatch.setattr(exactci.cli, "_parser", None)
+            fresh.append(run_cli(*argv))
+        assert fresh == cached
+
+    def test_errors_after_reuse_still_exit_2(self):
+        run_cli(*self.REQUESTS[0])
+        assert run_cli("binomial", "--n", "20", "--x", "5", "--alpha", "1.5") == (2, "")
+        with pytest.raises(SystemExit) as exc:
+            run(["binomial", "--n", "20"])
+        assert exc.value.code == 2
+        assert run_cli(*self.REQUESTS[1])[0] == 0

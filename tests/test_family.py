@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -489,3 +490,27 @@ class TestBoundedMode:
         tie = 4.0 * np.spacing(np.abs(t).max() + abs(theta) * np.abs(xs).max())
         assert m == first or (abs(m - first) == 1 and g[first - lo] - g[m - lo] <= tie)
         assert fam._window(theta) == score_window(fam, theta)
+
+
+class TestPoissonWeightReads:
+    """An unbounded family reads each mode probe's two weights in one call."""
+
+    def test_warm_evaluation_reads(self):
+        source = make_poisson().family
+        calls = []
+
+        def logw(xs):
+            calls.append(len(xs))
+            return source.log_weight(xs)
+
+        fam = dataclasses.replace(source, log_weight=logw)
+        fam.distribution(math.log(30.0))
+        calls.clear()
+        d = fam.distribution(math.log(33.0))
+        # mode probes are two-point reads, the tail cuts one-point reads and
+        # the last call reads the whole window
+        assert calls[-1] == len(d.xs)
+        assert (calls.count(2), calls.count(1), len(calls)) == (5, 13, 19)
+        cold = make_poisson().family.distribution(math.log(33.0))
+        assert d.xs.tolist() == cold.xs.tolist()
+        assert d.g.tolist() == cold.g.tolist() and d.log_norm == cold.log_norm

@@ -31,7 +31,7 @@ from exactci import (
 import exactci.family
 from exactci.family import plateau, reflect
 from exactci.sterne import _k_star, stage_one, stage_two
-from oracles import sterne_pvalue_oracle
+from oracles import count_evaluations, sterne_pvalue_oracle
 
 ALPHA = 0.05
 
@@ -272,6 +272,22 @@ class TestStageTwo:
         p_lo, p_hi = r.bracket_pvalues
         assert p_lo > ALPHA >= p_hi
         assert ALPHA - r.achieved <= r.delta
+
+    @pytest.mark.parametrize("model, x", [
+        ("bin20", 10), ("bin20", 12), ("or_big", 32), ("pois", -12),
+    ])
+    def test_root_takes_few_evaluations(self, request, monkeypatch, model, x):
+        # two bracket ends, then Newton steps on log pi_k from theta_{k,x};
+        # a Poisson root piece lies left of the plateau, so it is solved on
+        # the reflection
+        fam = request.getfixturevalue(model).family
+        fam = reflect(fam) if x < 0 else fam
+        k = stage_one(fam, x, ALPHA)
+        calls = count_evaluations(monkeypatch)
+        r = stage_two(fam, x, k, ALPHA)
+        assert not r.at_jump and r.bracket[1] - r.bracket[0] <= r.delta
+        assert r.bracket_pvalues[0] > ALPHA >= r.bracket_pvalues[1]
+        assert len(calls) <= 8
 
     def test_delta_controls_the_bracket(self, bin20):
         k = stage_one(bin20, 10, ALPHA)

@@ -233,6 +233,8 @@ def _natural_grid(start, end, points: int, what: str) -> list[float]:
         raise BadGrid(f"{what} needs at least 2 points")
     if not start < end:
         raise BadGrid(f"{what} needs --from < --to")
+    if not math.isfinite(end - start):
+        raise BadGrid(f"{what} needs finite --from and --to")
     return [start + (end - start) * i / (points - 1) for i in range(points)]
 
 

@@ -16,19 +16,21 @@ more-probable set, so the confidence set {eta : pi(x, eta) > alpha} has its
 endpoints either at a jump or at a root of the smooth piece.
 
 ``sterne_upper`` finds the upper endpoint in two searches: an integer search
-over k for the last jump value at or above alpha (``stage_one``, on
-``family._search``), then a root search inside the following piece
-(``stage_two``, on ``bounds._bisect``) by Newton steps on log pi with the
-piece's derivative read off each evaluation, kept inside a bracket that
-stops once both its width and the p-value gap fall below delta, or once no
-float lies strictly inside it. Past the last jump of a bounded support the
-endpoint is the one-sided bound. Lower endpoints, and the pieces left of the plateau in
-``sterne_pvalue``, reuse the same searches on the reflected family, whose
-special parameters are the exact negations. Whole-support sweeps
-(``exact_coverage``, ``length_table``) start each outcome's stage one at the
-previous outcome's k_star. The returned interval is the
-closed hull of the confidence set, so its coverage is never below the
-nominal level.
+over k for the last jump value at or above alpha (``stage_one``), by Newton
+steps on the log of the jump value in k, kept inside an integer bracket;
+then a root search inside the following piece (``stage_two``, on
+``bounds._bisect``) by Newton steps on log pi with the piece's derivative
+read off each evaluation, kept inside a bracket that stops once both its
+width and the p-value gap fall below delta, or once no float lies strictly
+inside it. Stage two reads the distribution at theta_{k_star,x} and the
+p-value at theta_{k_star+1,x} off stage one's bracket ends. Past the last
+jump of a bounded support the endpoint is the one-sided bound. Lower
+endpoints, and the pieces left of the plateau in ``sterne_pvalue``, reuse
+the same searches on the reflected family, whose special parameters are the
+exact negations. Whole-support sweeps (``exact_coverage``, ``length_table``)
+start each outcome's stage one at the previous outcome's k_star and walk up
+from it. The returned interval is the closed hull of the confidence set, so
+its coverage is never below the nominal level.
 """
 
 from __future__ import annotations
@@ -36,8 +38,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import ConfidenceInterval, _bisect, _check_alpha, _check_x, _unpack, upper_bound
-from .errors import BadDelta, OutOfSupport, UnboundedEnumeration
+from . import family as _lattice
+from .bounds import (ConfidenceInterval, _bisect, _check_alpha, _check_x, _newton, _unpack,
+                     upper_bound)
+from .errors import BadDelta, DivergentSearch, OutOfSupport, UnboundedEnumeration
 from .family import Distribution, LatticeFamily, _search, reflect, special_param
 
 DEFAULT_DELTA = 1e-8
@@ -144,16 +148,22 @@ def _endpoint(k, lo: float, hi: float, p_lo: float, p_hi: float, delta: float,
 def stage_one(fam_or_model, x: int, alpha: float) -> int:
     """Largest k > x whose jump value pi(x, theta_{k,x}) is still >= alpha.
 
-    The jump values decrease in k, so this is one integer search for the
-    first k whose jump value falls below alpha, minus one. On a bounded
-    support the first probe is at max(X), with hi + 1 as the sentinel, and a
-    bisection follows. On an unbounded one the probes sit at x + 2, x + 4,
-    x + 8, ... until one falls below alpha, which must happen for any family
-    whose jump values decay to zero; a probe past x + ``family.STEP_CAP``
-    raises DivergentSearch. A probe whose summation window is too large
-    counts as past the crossing. The search then ends either on such a
-    probe, whose error is raised, or between two evaluated probes, which pin
-    the crossing.
+    The jump values J(k) decrease in k, so this is one integer search for
+    the first k whose jump value falls below alpha, minus one. It keeps a
+    bracket of two probes, one >= alpha and one below (hi + 1 counts as one
+    below), and ends when they are adjacent. The first probe is x + 2; each
+    next one is floor(k'), plus one after a probe >= alpha, where k' (at most
+    max(X)) is the Newton step on log J from the last probe, with J(k + 1) -
+    J(k) ~ (d/dtheta) pi_k (theta_{k+1,x} - theta_{k,x}) - f(k) read off its
+    evaluation. Where log J is concave in k, as for the shipped models, the
+    first step overshoots the crossing and the later ones converge from above.
+    As in ``bounds._bisect`` a step is kept only if it lands strictly inside
+    the bracket and moves less than half of the step before the last; else the
+    bracket is bisected, or, with no probe below alpha yet on an unbounded
+    side, the distance from x doubles. No probe passes x + ``family.STEP_CAP``,
+    and one there still >= alpha raises DivergentSearch. A probe whose
+    evaluation fails counts as past the crossing, and its error is raised if
+    it ends the bracket.
     """
     family, _ = _unpack(fam_or_model)
     alpha = _check_alpha(alpha)
@@ -164,39 +174,63 @@ def stage_one(fam_or_model, x: int, alpha: float) -> int:
 
 
 def _k_star(family: LatticeFamily, x: int, alpha: float, start: int | None = None) -> int:
-    """``stage_one`` for a checked x < max(X), warm-started at ``start`` when given.
+    """``stage_one`` for a checked x < max(X), warm-started at ``start`` when given."""
+    return _jump_bracket(family, x, alpha, start)[0]
 
-    The warm search walks up from ``start`` by doubling steps from 1. It is
-    taken only when the jump value at ``start`` is still >= alpha, so it
-    ends on the same k as the cold search.
+
+def _jump_bracket(family: LatticeFamily, x: int, alpha: float, start: int | None = None):
+    """(k_star, d, J(k_star + 1)): ``_k_star`` with the distribution the search
+    took at theta_{k_star,x} and the jump value it read at k_star + 1, each
+    None where it took none. No other probe's distribution is kept.
+
+    A warm search walks up from ``start`` by doubling steps from 1, as k_star
+    moves by about one between neighbouring outcomes. It is taken only when
+    the jump value at ``start`` is still >= alpha, so it ends on the cold k.
     """
-    hi = family.support.hi
-    too_wide = {}
+    hi, cap = family.support.hi, x + _lattice.STEP_CAP
+    lo, up, d_lo, j_up, failed = x + 1, hi + 1, None, None, {}
+
+    def probe(k: int):
+        nonlocal lo, up, d_lo, j_up
+        try:
+            d = family.distribution(special_param(family, x, k))
+            # pi(x, theta_{k,x}), where outcome k is still tied with x
+            j = _two_tails(d, k, x)
+        except (DivergentSearch, UnboundedEnumeration) as err:
+            failed[k], d, j = err, None, 0.0
+        if j < alpha:
+            up, j_up = k, j
+        else:
+            lo, d_lo = k, d
+        return d, j
 
     def below(k: int) -> bool:
         # pi(x, theta_{x+1,x}) = 1 on the plateau edge
-        if k > hi:
-            return True
-        if k <= x + 1:
-            return False
-        try:
-            d = family.distribution(special_param(family, x, k))
-        except UnboundedEnumeration as err:
-            too_wide[k] = err
-            return True
-        # pi(x, theta_{k,x}), where outcome k is still tied with x
-        return _two_tails(d, k, x) < alpha
+        return k > hi or (k > x + 1 and probe(k)[1] < alpha)
 
-    start = None if start is None else max(start, x + 1)
-    if start is not None and not below(start):
-        k = _search(below, start, +1, hi + 1, 1)
-    elif family.support.bounded_above:
-        k = _search(below, x + 1, +1, hi + 1, max(1, hi - x - 1))
-    else:
-        k = _search(below, x, +1, hi, 2)
-    if k in too_wide:
-        raise too_wide[k]
-    return k - 1
+    def newton(k: int, d: Distribution | None, j: float) -> int | None:
+        if d is None or k == hi or up - lo == 1:
+            return None
+        dtheta = special_param(family, x, k + 1) - d.theta
+        t = _newton(k, j, (d.sf_slope(k + 1) + d.cdf_slope(x)) * dtheta - d.pmf(k), alpha)
+        if t is None or not t > lo:
+            return None
+        return min(math.floor(min(t, hi, cap)) + (j >= alpha), hi)
+
+    if start is not None and not below(max(start, x + 1)):
+        _search(below, max(start, x + 1), +1, hi + 1, 1)
+    k, before, last = x + 2, math.inf, math.inf
+    while up - lo > 1:
+        if lo == cap:
+            raise DivergentSearch(f"the doubling search from x = {x} did not end")
+        p = newton(k, *probe(k))
+        if p is None or not lo < p < up or abs(p - k) >= 0.5 * before:
+            p = (lo + up) // 2 if up < math.inf else x + 2 * (lo - x)
+        before, last = last, abs(p - k)
+        k = min(p, cap)
+    if up in failed:
+        raise failed[up]
+    return lo, d_lo, j_up
 
 
 def stage_two(fam_or_model, x: int, k: int, alpha: float, delta: float = DEFAULT_DELTA) -> SterneResult:
@@ -221,8 +255,23 @@ def stage_two(fam_or_model, x: int, k: int, alpha: float, delta: float = DEFAULT
     x, k = int(x), int(k)
     if k <= x:
         raise ValueError("stage_two expects k > x")
+    return _upper_result(family, x, alpha, delta, k=k)
 
-    d = None
+
+def _upper_result(family: LatticeFamily, x: int, alpha: float, delta: float,
+                  start: int | None = None, k: int | None = None) -> SterneResult:
+    """The upper endpoint, by ``stage_two`` in the piece following theta_{k,x}.
+
+    Without ``k``, stage one finds k_star first, warm-started at ``start`` (the
+    k_star of a smaller outcome) when given. Stage two then reads the
+    distribution at theta_{k,x} and the value pi_k(theta_{k+1,x}) = J(k + 1)
+    off stage one's bracket ends instead of evaluating them again.
+    """
+    if x == family.support.hi:
+        return _endpoint(None, math.inf, math.inf, 1.0, 1.0, delta)
+    d = p_hi = None
+    if k is None:
+        k, d, p_hi = _jump_bracket(family, x, alpha, start)
 
     def piece(t: float) -> float:
         nonlocal d
@@ -233,7 +282,7 @@ def stage_two(fam_or_model, x: int, k: int, alpha: float, delta: float = DEFAULT
         return d.sf_slope(k + 1) + d.cdf_slope(x) if d.theta == t else None
 
     b_lo = special_param(family, x, k)
-    p_lo = piece(b_lo)
+    p_lo = piece(b_lo) if d is None else _two_tails(d, k + 1, x)
     if p_lo <= alpha:
         return _endpoint(k, b_lo, b_lo, p_lo, p_lo, delta, at_jump=True)
     b_hi = special_param(family, x, k + 1)
@@ -241,21 +290,10 @@ def stage_two(fam_or_model, x: int, k: int, alpha: float, delta: float = DEFAULT
         b = upper_bound(family, x, alpha)
         p_b = piece(b)
         return _endpoint(k, b, b, p_b, p_b, delta)
-    # evaluated apart from ``piece``, so that the Newton steps start from b_lo
-    p_hi = _two_tails(family.distribution(b_hi), k + 1, x)
+    if p_hi is None:
+        # evaluated apart from ``piece``, so that the Newton steps start from b_lo
+        p_hi = _two_tails(family.distribution(b_hi), k + 1, x)
     return _endpoint(k, *_bisect(piece, b_lo, b_hi, p_lo, p_hi, alpha, delta, delta, slope), delta)
-
-
-def _upper_result(family: LatticeFamily, x: int, alpha: float, delta: float,
-                  start: int | None = None) -> SterneResult:
-    """The upper endpoint; ``start`` is the k_star of a smaller outcome, if known.
-
-    Single calls (no ``start``) search cold through ``stage_one``.
-    """
-    if x == family.support.hi:
-        return _endpoint(None, math.inf, math.inf, 1.0, 1.0, delta)
-    k = stage_one(family, x, alpha) if start is None else _k_star(family, x, alpha, start=start)
-    return stage_two(family, x, k, alpha, delta)
 
 
 def _lower_result(family: LatticeFamily, x: int, alpha: float, delta: float) -> SterneResult:

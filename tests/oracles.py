@@ -3,7 +3,8 @@
 ``sterne_pvalue_oracle`` sums the defining formula of pi(x, eta) directly,
 ``ladder`` materializes the special parameters of one outcome,
 ``truncated_geometric_variance`` is the closed-form variance of a truncated
-geometric distribution, and ``count_evaluations`` counts the calls of
+geometric distribution, ``k_star_reference`` is stage one's search by
+doubling and bisection, and ``count_evaluations`` counts the calls of
 ``LatticeFamily.distribution``. None of them is part of the package's API.
 """
 
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 
 from exactci.bounds import _check_x, _unpack
 from exactci.errors import OutOfSupport, UnboundedEnumeration
-from exactci.family import LatticeFamily, _is_int, special_param
-from exactci.sterne import _clip
+from exactci.family import LatticeFamily, _is_int, _search, special_param
+from exactci.sterne import _clip, _two_tails
 
 
 def sterne_pvalue_oracle(fam_or_model, x: int, eta: float) -> float:
@@ -91,6 +92,38 @@ def truncated_geometric_variance(delta: float, m: int) -> float:
     b1 = 1.0 / math.expm1(delta)  # B - 1
     half = 2.0 * math.sinh((m + 1) * delta / 2.0)  # sqrt(2 cosh((m+1)d) - 2), signed
     return (1.0 + b1) * b1 - ((m + 1) / half) ** 2
+
+
+def k_star_reference(family: LatticeFamily, x: int, alpha: float) -> int:
+    """``stage_one``'s k by the monotone predicate "jump value below alpha" alone.
+
+    On a bounded support the first probe is max(X), with hi + 1 as the
+    sentinel, and a bisection follows; on an unbounded one the probes sit at
+    x + 2, x + 4, x + 8, ... A probe whose window is too large counts as past
+    the crossing, and its error is raised if it ends the search.
+    """
+    hi = family.support.hi
+    too_wide = {}
+
+    def below(k: int) -> bool:
+        if k > hi:
+            return True
+        if k <= x + 1:
+            return False
+        try:
+            d = family.distribution(special_param(family, x, k))
+        except UnboundedEnumeration as err:
+            too_wide[k] = err
+            return True
+        return _two_tails(d, k, x) < alpha
+
+    if family.support.bounded_above:
+        k = _search(below, x + 1, +1, hi + 1, max(1, hi - x - 1))
+    else:
+        k = _search(below, x, +1, hi, 2)
+    if k in too_wide:
+        raise too_wide[k]
+    return k - 1
 
 
 def count_evaluations(monkeypatch) -> list:

@@ -204,6 +204,12 @@ class TestExitCodes:
         ("binomial", "--n", "20", "--x", "5", "--curve", "--from", "-0.5", "--to", "0.5"),
         ("audit", "--model", "binomial", "--n", "20", "--from", "-0.5", "--to", "0.5"),
         ("poisson", "--x", "3", "--curve", "--from", "-1", "--to", "5"),
+        ("poisson", "--x", "3", "--curve", "--from", "1", "--to", "inf"),
+        ("poisson", "--x", "3", "--curve", "--from=-inf", "--to", "5"),
+        ("curve", "--model", "poisson", "--x", "3", "--from", "1", "--to", "inf"),
+        ("audit", "--model", "poisson", "--from", "1", "--to", "inf"),
+        ("oddsratio", "--y1", "42", "--n1", "49", "--y2", "203", "--n2", "317",
+         "--curve", "--from", "0.5", "--to", "inf"),
     ])
     def test_argument_errors_exit_2(self, argv):
         code, out = run_cli(*argv)

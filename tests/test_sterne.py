@@ -11,6 +11,7 @@ from scipy.stats import binom
 from exactci import (
     BadDelta,
     DivergentSearch,
+    ExactCIError,
     InadmissibleInfiniteTheta,
     LatticeFamily,
     LatticeSupport,
@@ -19,6 +20,7 @@ from exactci import (
     UnboundedEnumeration,
     jump_limits,
     make_binomial,
+    make_odds_ratio,
     make_poisson,
     pvalue_left,
     special_param,
@@ -31,7 +33,7 @@ from exactci import (
 import exactci.family
 from exactci.family import plateau, reflect
 from exactci.sterne import _k_star, stage_one, stage_two
-from oracles import count_evaluations, sterne_pvalue_oracle
+from oracles import count_evaluations, k_star_reference, sterne_pvalue_oracle
 
 ALPHA = 0.05
 
@@ -289,6 +291,28 @@ class TestStageTwo:
         assert r.bracket_pvalues[0] > ALPHA >= r.bracket_pvalues[1]
         assert len(calls) <= 8
 
+    @pytest.mark.parametrize("make, x", [
+        (lambda: make_binomial(99000), 34000),
+        (lambda: make_binomial(999590), 319405),
+        (make_poisson, 96000),
+    ])
+    def test_large_support_interval_takes_few_evaluations(self, monkeypatch, make, x):
+        # per end: the probe at x + 2, the Newton steps on log J, and the two
+        # bracket ends, which stage two reads instead of evaluating again
+        model = make()
+        calls = count_evaluations(monkeypatch)
+        sterne_interval(model, x, ALPHA)
+        assert len(calls) <= 14
+
+    @pytest.mark.parametrize("model, x", [("bin20", 5), ("pois", 3), ("pois", 96000)])
+    def test_jump_end_reuses_stage_one_evaluations(self, request, monkeypatch, model, x):
+        fam = request.getfixturevalue(model).family
+        calls = count_evaluations(monkeypatch)
+        k = stage_one(fam, x, ALPHA)
+        probes = len(calls)
+        assert sterne_upper(fam, x, ALPHA) == special_param(fam, x, k)
+        assert len(calls) == 2 * probes
+
     def test_delta_controls_the_bracket(self, bin20):
         k = stage_one(bin20, 10, ALPHA)
         coarse = stage_two(bin20, 10, k, ALPHA, delta=1e-4)
@@ -477,6 +501,13 @@ class TestDegenerateSearches:
         with pytest.raises(DivergentSearch):
             stage_one(fam, 3, 1e-4)
 
+    def test_reduced_step_cap_keeps_a_crossing_below_it(self, monkeypatch):
+        # at alpha = 0.1 the jump values of x = 3 cross at k = 168, far below
+        # the capped probe at x + 2^14, which the search must not reach
+        monkeypatch.setattr(exactci.family, "STEP_CAP", 1 << 14)
+        k = stage_one(harmonic_family(), 3, 0.1)
+        assert k == scan_last_jump_above(harmonic_family(), 3, 0.1, 200) == 168
+
     def test_huge_special_parameters(self):
         # theta near 1e9 has a float spacing of 1.2e-7, above the default
         # delta, so stage two ends on adjacent floats instead of a cap
@@ -560,3 +591,71 @@ class TestWarmWindowSearch:
             warm.distribution(t)
         with pytest.raises(error):
             warm.distribution(theta)
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(0.0, 1.0).map(lambda u: math.exp(math.log(lo) + u * (math.log(hi) - math.log(lo))))
+
+
+def _outcome_below_max(lo: int, hi: int):
+    """Integers in [lo, hi), spread over magnitudes up to 1e6."""
+    return st.integers(0, 6).flatmap(lambda e: st.integers(lo, max(lo, min(hi - 1, lo + 10**e))))
+
+
+# name: (draw of (fresh-family maker, x), smallest alpha). Harmonic alphas stay
+# above 0.1, where every probe's theta stays below 0.98. Negative binomial
+# outcomes stay below 30 and alphas above 1e-3: past that, the windows near
+# theta = 0 approach the 2e6-point cap and one example takes seconds, so that
+# case is the single parametrized one below.
+K_STAR_CASES = {
+    "binomial": (st.integers(1, 10**6).flatmap(lambda n: st.tuples(
+        st.just(lambda: make_binomial(n).family), _outcome_below_max(0, n))), 1e-15),
+    "poisson": (st.tuples(st.just(lambda: make_poisson().family),
+                          _outcome_below_max(0, 10**6 + 1)), 1e-15),
+    "reflected poisson": (st.tuples(st.just(lambda: reflect(make_poisson().family)),
+                                    _outcome_below_max(1, 10**6 + 1).map(lambda z: -z)), 1e-15),
+    "odds ratio": (st.tuples(st.integers(1, 3000), st.integers(1, 3000)).flatmap(
+        lambda ns: st.integers(1, sum(ns) - 1).flatmap(lambda m: st.tuples(
+            st.just(lambda: make_odds_ratio(*ns, m).family),
+            _outcome_below_max(max(0, m - ns[1]), min(ns[0], m))))), 1e-15),
+    "harmonic": (st.tuples(st.just(harmonic_family), st.integers(0, 3)), 0.1),
+    "negative binomial": (st.tuples(st.just(negative_binomial), st.integers(0, 30)), 1e-3),
+    "two-sided": (st.tuples(st.just(two_sided_family), st.integers(-300, 300)), 1e-15),
+}
+
+
+def _k_or_error(search):
+    try:
+        return search()
+    except ExactCIError as err:
+        return type(err), str(err)
+
+
+class TestKStarReference:
+    """The Newton-guided stage one, cold or warm-started, ends on the k of the
+    doubling and bisection search, or raises its error."""
+
+    @staticmethod
+    def check(fam, x, alpha, draw_start):
+        # the log-concavity check runs at the first theta a family evaluates;
+        # running it here gives all three searches the same one
+        _k_or_error(lambda: fam.distribution(special_param(fam, x, x + 1)))
+        expected = _k_or_error(lambda: k_star_reference(fam, x, alpha))
+        assert _k_or_error(lambda: _k_star(fam, x, alpha)) == expected
+        start = draw_start((expected if isinstance(expected, int) else x + 64) + 8)
+        assert _k_or_error(lambda: _k_star(fam, x, alpha, start=start)) == expected
+        return expected
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_bisection_search(self, data):
+        name = data.draw(st.sampled_from(sorted(K_STAR_CASES)))
+        cases, smallest = K_STAR_CASES[name]
+        make, x = data.draw(cases)
+        alpha = data.draw(_log_uniform(smallest, 0.5))
+        self.check(make(), x, alpha, lambda top: data.draw(st.integers(x + 1, top)))
+
+    def test_probes_past_the_window_cap(self):
+        # probes whose window is too large count as past the crossing, and the
+        # search ends on one of them
+        assert self.check(negative_binomial(), 5, 1e-6, lambda top: 14)[0] is UnboundedEnumeration

@@ -19,13 +19,16 @@ from .bounds import clopper_pearson, one_sided_interval
 from .coverage import exact_coverage, write_csv
 from .errors import (BadAlpha, BadDelta, BadGrid, BadN, EmptySupport, ExactCIError,
                      OutOfSupport)
-from .family import special_param
+from .family import _search, special_param
 from .models import TwoByTwoTable, make_binomial, make_odds_ratio, make_poisson, point_estimate
 from .sterne import DEFAULT_DELTA, jump_limits, sterne_interval, sterne_pvalue
 
 _ARGUMENT_ERRORS = (BadAlpha, BadDelta, BadGrid, BadN, EmptySupport, OutOfSupport)
 
 METHOD_CHOICES = ("sterne", "cp", "lower", "upper", "all")
+
+_MODEL_ARGS = {"binomial": ("n", "x"), "poisson": ("x",), "oddsratio": ("y1", "n1", "y2", "n2")}
+_ARG_HELP = {"x": "observed count", "y1": "events in group 1", "y2": "events in group 2"}
 
 
 def _fmt(v: float) -> str:
@@ -36,12 +39,10 @@ def _fmt(v: float) -> str:
     return f"{v:.4f}"
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_level(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=0.05, help="error level (default 0.05)")
-    p.add_argument("--method", choices=METHOD_CHOICES, default="all")
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA,
                    help="Sterne endpoint precision (default 1e-8)")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
 
 def _add_curve(p: argparse.ArgumentParser, required: bool) -> None:
@@ -55,16 +56,10 @@ def _add_curve(p: argparse.ArgumentParser, required: bool) -> None:
     p.add_argument("--points", type=int, default=500, help="curve sample count")
 
 
-def _add_model_args(p: argparse.ArgumentParser, kind: str) -> None:
-    if kind == "binomial":
-        p.add_argument("--n", type=int, required=True)
-    if kind != "oddsratio":
-        p.add_argument("--x", type=int, required=True, help="observed count")
-        return
-    p.add_argument("--y1", type=int, required=True, help="events in group 1")
-    p.add_argument("--n1", type=int, required=True)
-    p.add_argument("--y2", type=int, required=True, help="events in group 2")
-    p.add_argument("--n2", type=int, required=True)
+def _add_model_args(p: argparse.ArgumentParser, kinds, required: bool) -> None:
+    """One integer flag per model argument of ``kinds``, each declared once."""
+    for name in dict.fromkeys(a for kind in kinds for a in _MODEL_ARGS[kind]):
+        p.add_argument(f"--{name}", type=int, required=required, help=_ARG_HELP.get(name))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,31 +75,26 @@ def build_parser() -> argparse.ArgumentParser:
         ("oddsratio", "odds ratio of a 2x2 table"),
     ):
         p = sub.add_parser(kind, help=helptext)
-        _add_model_args(p, kind)
-        _add_common(p)
+        _add_model_args(p, [kind], required=True)
+        _add_level(p)
+        p.add_argument("--method", choices=METHOD_CHOICES, default="all")
+        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         _add_curve(p, required=False)
 
     p = sub.add_parser("curve", help="two-sided p-value curve as CSV")
-    p.add_argument("--model", choices=("binomial", "poisson", "oddsratio"), required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--x", type=int)
-    p.add_argument("--y1", type=int)
-    p.add_argument("--n1", type=int)
-    p.add_argument("--y2", type=int)
-    p.add_argument("--n2", type=int)
+    p.add_argument("--model", choices=tuple(_MODEL_ARGS), required=True)
+    _add_model_args(p, _MODEL_ARGS, required=False)
     _add_curve(p, required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
+    _add_level(p)
 
     p = sub.add_parser("audit", help="exact coverage table as CSV")
-    p.add_argument("--model", choices=("binomial", "poisson", "oddsratio"), required=True)
+    p.add_argument("--model", choices=tuple(_MODEL_ARGS), required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--n1", type=int)
     p.add_argument("--n2", type=int)
     p.add_argument("--s", type=int, help="conditioning total y1 + y2")
     p.add_argument("--method", choices=METHOD_CHOICES[:-1], default="sterne")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
+    _add_level(p)
     p.add_argument("--from", dest="grid_from", type=float, required=True,
                    help="grid start, natural scale")
     p.add_argument("--to", dest="grid_to", type=float, required=True,
@@ -208,21 +198,15 @@ def _print_intervals(model, x, args, out=sys.stdout) -> None:
 def _curve_jumps(model, x, t_from, t_to):
     """All k whose special parameter theta_{k,x} lies inside [t_from, t_to].
 
-    theta_{k,x} increases with k, so the list comes in theta order.
+    theta_{k,x} increases with k over k != x, so a search down from x and one
+    up from x end the span of k to read; the filter drops the k of that span
+    outside a range that misses the plateau. The list comes in theta order.
     """
     fam = model.family
-    below, above = [], []
-    k = x - 1
-    while k >= fam.support.lo and (t := special_param(fam, x, k)) >= t_from:
-        if t <= t_to:
-            below.append(k)
-        k -= 1
-    k = x + 1
-    while k <= fam.support.hi and (t := special_param(fam, x, k)) <= t_to:
-        if t >= t_from:
-            above.append(k)
-        k += 1
-    return below[::-1] + above
+    theta = lambda k: special_param(fam, x, k)
+    first = _search(lambda k: theta(k) < t_from, x, -1, fam.support.lo - 1, 1) + 1
+    last = _search(lambda k: theta(k) > t_to, x, +1, fam.support.hi + 1, 1) - 1
+    return [k for k in range(first, last + 1) if k != x and t_from <= theta(k) <= t_to]
 
 
 def _natural_grid(start, end, points: int, what: str) -> list[float]:

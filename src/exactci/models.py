@@ -90,21 +90,14 @@ def make_binomial(n: int) -> Model:
 def make_poisson() -> Model:
     """Poisson(lambda) with theta = log(lambda); support {0, 1, ...}.
 
-    theta = +inf is inadmissible. The tail_floor witness keeps summation
-    windows out to the mean plus forty standard deviations.
+    theta = +inf is inadmissible.
     """
 
     def logw(x):
         x = np.asarray(x, dtype=float)
         return -gammaln(x + 1)
 
-    def floor(theta):
-        lam = math.exp(min(theta, 60.0))
-        return math.ceil(lam + 40.0 * math.sqrt(lam) + 50.0)
-
-    fam = LatticeFamily(
-        support=LatticeSupport(0, math.inf), log_weight=logw, tail_floor=floor
-    )
+    fam = LatticeFamily(support=LatticeSupport(0, math.inf), log_weight=logw)
     return Model(
         kind="poisson",
         family=fam,

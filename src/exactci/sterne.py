@@ -217,6 +217,8 @@ def _jump_bracket(family: LatticeFamily, x: int, alpha: float, start: int | None
             return None
         return min(math.floor(min(t, hi, cap)) + (j >= alpha), hi)
 
+    # entering the Newton loop at start instead saved 1.8 % of the sweeps' evaluations
+    # but lost 11 of 14 alternating audit benchmark pairs on p50 latency (2-core machine)
     if start is not None and not below(max(start, x + 1)):
         _search(below, max(start, x + 1), +1, hi + 1, 1)
     k, before, last = x + 2, math.inf, math.inf

@@ -4,7 +4,8 @@
 ``ladder`` materializes the special parameters of one outcome,
 ``truncated_geometric_variance`` is the closed-form variance of a truncated
 geometric distribution, ``k_star_reference`` is stage one's search by
-doubling and bisection, and ``count_evaluations`` counts the calls of
+doubling and bisection, ``curve_jumps_reference`` lists a curve's jumps by
+a walk out from x, and ``count_evaluations`` counts the calls of
 ``LatticeFamily.distribution``. None of them is part of the package's API.
 """
 
@@ -124,6 +125,24 @@ def k_star_reference(family: LatticeFamily, x: int, alpha: float) -> int:
     if k in too_wide:
         raise too_wide[k]
     return k - 1
+
+
+def curve_jumps_reference(model, x: int, t_from: float, t_to: float) -> list[int]:
+    """All k whose special parameter theta_{k,x} lies inside [t_from, t_to],
+    by walking out from x one k at a time on each side."""
+    fam = model.family
+    below, above = [], []
+    k = x - 1
+    while k >= fam.support.lo and (t := special_param(fam, x, k)) >= t_from:
+        if t <= t_to:
+            below.append(k)
+        k -= 1
+    k = x + 1
+    while k <= fam.support.hi and (t := special_param(fam, x, k)) <= t_to:
+        if t >= t_from:
+            above.append(k)
+        k += 1
+    return below[::-1] + above
 
 
 def count_evaluations(monkeypatch) -> list:

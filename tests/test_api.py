@@ -1,5 +1,6 @@
 """The public API: what ``exactci`` exports, and where the internals live."""
 
+import dataclasses
 import importlib
 
 import exactci
@@ -60,6 +61,11 @@ INTERNALS = {
 def test_exports_are_the_public_api():
     assert len(PUBLIC) == 42
     assert sorted(exactci.__all__) == PUBLIC
+
+
+def test_a_family_is_its_support_and_its_weights():
+    fields = [f.name for f in dataclasses.fields(exactci.LatticeFamily)]
+    assert fields == ["support", "log_weight"]
 
 
 def test_star_import_resolves_every_export():

@@ -8,13 +8,18 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import exactci.cli
 from exactci.bounds import clopper_pearson
-from exactci.cli import run
-from exactci.models import make_binomial
+from exactci.cli import _curve_jumps, run
+from exactci.family import special_param
+from exactci.models import make_binomial, make_odds_ratio, make_poisson
 from exactci.sterne import DEFAULT_DELTA, sterne_interval
+from oracles import curve_jumps_reference
 
 
 def run_cli(*argv):
@@ -141,6 +146,42 @@ class TestCurve:
                               "--from", "0.2", "--to", "0.3", "--points", "11")
         _, via_sub = run_cli("curve", "--model", "binomial", *argv)
         assert via_sub == via_flag
+
+
+POISSON = make_poisson()
+
+
+@st.composite
+def curve_ranges(draw):
+    """(model, x, t_from, t_to): each end at a special parameter theta_{k,x}
+    (a support-end sentinel included), one float either side of it, or just
+    inside the plateau, so ranges fall below, above, inside and across it."""
+    model = draw(st.one_of(
+        st.integers(1, 1000).map(make_binomial),
+        st.integers(1, 244).map(lambda s: make_odds_ratio(49, 317, s)),
+        st.just(POISSON),
+    ))
+    fam = model.family
+    lo, hi = int(fam.support.lo), fam.support.hi
+    x = draw(st.integers(lo, min(hi, 5000)))
+
+    def end():
+        k = min(max(x + draw(st.integers(-400, 400)), lo - 1), hi + 1)
+        if k == x:
+            return draw(st.sampled_from([np.nextafter(special_param(fam, x, x - 1), math.inf),
+                                         np.nextafter(special_param(fam, x, x + 1), -math.inf)]))
+        t = special_param(fam, x, k)
+        return draw(st.sampled_from([t, np.nextafter(t, -math.inf), np.nextafter(t, math.inf)]))
+
+    t_from, t_to = sorted([float(end()), float(end())])
+    return model, x, t_from, t_to
+
+
+class TestCurveJumps:
+    @given(case=curve_ranges())
+    @settings(max_examples=300, deadline=None)
+    def test_searches_match_the_walk(self, case):
+        assert _curve_jumps(*case) == curve_jumps_reference(*case)
 
 
 class TestAudit:

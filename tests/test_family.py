@@ -492,6 +492,31 @@ class TestBoundedMode:
         assert fam._window(theta) == score_window(fam, theta)
 
 
+POISSON = make_poisson().family
+
+
+class TestPoissonWindow:
+    """The TAIL_DROP cut alone ends a Poisson window, at tiny and at large lambda."""
+
+    @given(log_lam=st.floats(math.log(1e-20), math.log(2e5)))
+    @settings(max_examples=150, deadline=None)
+    def test_window_ends_match_a_linear_scan(self, log_lam):
+        # one shared family, so each window search starts where the last ended
+        theta = log_lam
+        lam = math.exp(theta)
+        xs = np.arange(0, int(lam + 60.0 * math.sqrt(lam) + 2000))
+        logw = POISSON.log_weight(xs.astype(float))
+        m = next(x for x in xs[:-1] if not logw[x + 1] - logw[x] + theta > 0.0)
+        g = logw + theta * xs
+        dropped = g[m] - g > TAIL_DROP
+        a = next((x for x in range(m, -1, -1) if dropped[x]), 0)
+        b = next(x for x in range(m, len(xs)) if dropped[x])
+        assert POISSON._window(theta) == (a, b, g[m])
+        d = POISSON.distribution(theta)
+        assert (int(d.xs[0]), int(d.xs[-1])) == (a, b)
+        assert d.pmf_values[-1] == 0.0
+
+
 class TestPoissonWeightReads:
     """An unbounded family reads each mode probe's two weights in one call."""
 

@@ -9,7 +9,9 @@ one Newton step from the plateau brackets the root and ``_bisect`` shrinks
 the bracket by safeguarded Newton steps. ``_bisect`` also ends every Sterne
 endpoint that is not a jump. Lower bounds are solved as upper bounds of the
 reflected family, so both tails are summed from their far end and keep their
-digits at tiny alpha.
+digits at tiny alpha. Each solve returns the tail it certified at its end,
+and the intervals report that tail as the endpoint p-value instead of
+evaluating the end again.
 """
 
 from __future__ import annotations
@@ -50,8 +52,11 @@ class ConfidenceInterval:
     """A closed parameter interval on both the canonical and natural scales.
 
     ``pvalue_lo`` / ``pvalue_hi`` hold the p-values achieved at the two
-    endpoints; for root endpoints they sit at the target level, for jump
-    endpoints of the Sterne construction they are the one-sided limit values.
+    endpoints. At a root they are the tail the solver certified there (twice
+    it for Clopper-Pearson), at most the target level; at a Sterne jump they
+    are the one-sided limit values. An open end has 1.0 where its side of the
+    support is bounded (the family is a point mass there) and None where it
+    is not.
     """
 
     method: str
@@ -110,7 +115,7 @@ def _bisect(f, lo, hi, f_lo, f_hi, target, tol, gap, slope=None):
     return lo, hi, f_lo, f_hi
 
 
-def _solve_decreasing_cdf(family: LatticeFamily, x: int, target: float) -> float:
+def _solve_decreasing_cdf(family: LatticeFamily, x: int, target: float) -> tuple[float, float]:
     """Solve F_theta(x) = target in theta; F is strictly decreasing in theta.
 
     x must lie below the support maximum. log F is concave in theta (its
@@ -119,8 +124,8 @@ def _solve_decreasing_cdf(family: LatticeFamily, x: int, target: float) -> float
     closes the bracket. Without that step (F is 1 or below the target there)
     the bracket grows from the plateau in doubling steps that start at the
     plateau width. ``_bisect`` then shrinks it to THETA_TOL, reading
-    d/dtheta F off each evaluation, and its upper end is returned: F there is
-    at most the target, the conservative side for an upper bound. As in
+    d/dtheta F off each evaluation, and its upper end is returned with F
+    there: at most the target, the conservative side for an upper bound. As in
     ``stage_one``, a probe whose evaluation raises DivergentSearch or
     UnboundedEnumeration counts as past the crossing; its error is raised if
     the search returns it or must grow the bracket past it.
@@ -163,31 +168,38 @@ def _solve_decreasing_cdf(family: LatticeFamily, x: int, target: float) -> float
         if grow > 2.0**80:
             raise DivergentSearch("no upper bracket for the cdf equation")
         f_hi = cdf(hi)
-    hi = _bisect(cdf, lo, hi, f_lo, f_hi, target, THETA_TOL, math.inf, slope)[1]
+    _, hi, _, f_hi = _bisect(cdf, lo, hi, f_lo, f_hi, target, THETA_TOL, math.inf, slope)
     if hi in failed:
         raise failed[hi]
-    return hi
+    return hi, f_hi
+
+
+def _upper_end(family: LatticeFamily, x: int, alpha: float) -> tuple[float, float]:
+    """(b_alpha(x), F(x) at it) for a checked x; (+inf, 1.0) at the support maximum."""
+    if x == family.support.hi:
+        return math.inf, 1.0
+    return _solve_decreasing_cdf(family, x, alpha)
+
+
+def _lower_end(family: LatticeFamily, x: int, alpha: float) -> tuple[float, float]:
+    """(a_alpha(x), P(X >= x) at it) for a checked x; (-inf, 1.0) at the support minimum."""
+    # P_theta(X >= x) = alpha is the cdf equation of -X at -x in the reflection
+    b, tail = _upper_end(reflect(family), -x, alpha)
+    return -b, tail
 
 
 def upper_bound(fam_or_model, x: int, alpha: float) -> float:
     """Exact upper confidence bound: the theta with F_theta(x) = alpha."""
     family = _unpack(fam_or_model)[0]
     alpha = _check_alpha(alpha)
-    x = _check_x(family, x)
-    if x == family.support.hi:
-        return math.inf
-    return _solve_decreasing_cdf(family, x, alpha)
+    return _upper_end(family, _check_x(family, x), alpha)[0]
 
 
 def lower_bound(fam_or_model, x: int, alpha: float) -> float:
     """Exact lower confidence bound: the theta with P_theta(X >= x) = alpha."""
     family = _unpack(fam_or_model)[0]
     alpha = _check_alpha(alpha)
-    x = _check_x(family, x)
-    if x == family.support.lo:
-        return -math.inf
-    # P_theta(X >= x) = alpha is the cdf equation of -X at -x in the reflection
-    return -_solve_decreasing_cdf(reflect(family), -x, alpha)
+    return _lower_end(family, _check_x(family, x), alpha)[0]
 
 
 def pvalue_left(fam_or_model, x: int, theta: float) -> float:
@@ -212,53 +224,41 @@ def pvalue_two(fam_or_model, x: int, theta: float) -> float:
     return min(1.0, 2.0 * min(d.cdf(x), d.sf(x)))
 
 
+def _ci(method: str, alpha: float, to_natural, lo: float, hi: float, p_lo, p_hi,
+        delta: float | None = None) -> ConfidenceInterval:
+    """The interval [lo, hi] with its natural ends and endpoint p-values."""
+    return ConfidenceInterval(method, alpha, lo, hi, to_natural(lo), to_natural(hi), p_lo, p_hi,
+                              delta)
+
+
 def clopper_pearson(fam_or_model, x: int, alpha: float) -> ConfidenceInterval:
     """Equal-tail exact interval [a_{alpha/2}(x), b_{alpha/2}(x)]."""
     family, to_natural = _unpack(fam_or_model)
     alpha = _check_alpha(alpha)
-    a = lower_bound(family, x, alpha / 2.0)
-    b = upper_bound(family, x, alpha / 2.0)
-    return ConfidenceInterval(
-        method="clopper_pearson",
-        alpha=alpha,
-        theta_lo=a,
-        theta_hi=b,
-        natural_lo=to_natural(a),
-        natural_hi=to_natural(b),
-        pvalue_lo=pvalue_two(family, x, a),
-        pvalue_hi=pvalue_two(family, x, b),
-    )
-
-
-def _admissible(family: LatticeFamily, theta: float) -> bool:
-    if theta == math.inf:
-        return family.support.bounded_above
-    if theta == -math.inf:
-        return family.support.bounded_below
-    return True
+    x = _check_x(family, x)
+    a, p_a = _lower_end(family, x, alpha / 2.0)
+    b, p_b = _upper_end(family, x, alpha / 2.0)
+    # each certified tail, at most alpha/2 < 1/2, is the smaller of the two tails
+    # at its end, as the other one is at least 1 - alpha/2
+    return _ci("clopper_pearson", alpha, to_natural, a, b, min(1.0, 2.0 * p_a),
+               min(1.0, 2.0 * p_b))
 
 
 def one_sided_interval(fam_or_model, x: int, alpha: float, side: str) -> ConfidenceInterval:
-    """[a_alpha(x), +inf) for side="lower", (-inf, b_alpha(x)] for side="upper"."""
+    """[a_alpha(x), +inf) for side="lower", (-inf, b_alpha(x)] for side="upper".
+
+    The finite end carries the tail its solve certified; the open end carries
+    1.0 where that side of the support is bounded and None where it is not.
+    """
     family, to_natural = _unpack(fam_or_model)
     alpha = _check_alpha(alpha)
-    if side == "lower":
-        a, b = lower_bound(family, x, alpha), math.inf
-        p_lo = pvalue_right(family, x, a) if _admissible(family, a) else None
-        p_hi = pvalue_right(family, x, b) if _admissible(family, b) else None
-    elif side == "upper":
-        a, b = -math.inf, upper_bound(family, x, alpha)
-        p_lo = pvalue_left(family, x, a) if _admissible(family, a) else None
-        p_hi = pvalue_left(family, x, b) if _admissible(family, b) else None
-    else:
+    if side not in ("lower", "upper"):
         raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
-    return ConfidenceInterval(
-        method=side,
-        alpha=alpha,
-        theta_lo=a,
-        theta_hi=b,
-        natural_lo=to_natural(a),
-        natural_hi=to_natural(b),
-        pvalue_lo=p_lo,
-        pvalue_hi=p_hi,
-    )
+    x = _check_x(family, x)
+    if side == "lower":
+        (a, p_a), b = _lower_end(family, x, alpha), math.inf
+        p_b = 1.0 if family.support.bounded_above else None
+    else:
+        a, (b, p_b) = -math.inf, _upper_end(family, x, alpha)
+        p_a = 1.0 if family.support.bounded_below else None
+    return _ci(side, alpha, to_natural, a, b, p_a, p_b)

@@ -15,13 +15,12 @@ import json
 import math
 import sys
 
-from .bounds import clopper_pearson, one_sided_interval
-from .coverage import exact_coverage, write_csv
+from .coverage import _interval, exact_coverage, write_csv
 from .errors import (BadAlpha, BadDelta, BadGrid, BadN, EmptySupport, ExactCIError,
                      OutOfSupport)
 from .family import _search, special_param
 from .models import TwoByTwoTable, make_binomial, make_odds_ratio, make_poisson, point_estimate
-from .sterne import DEFAULT_DELTA, jump_limits, sterne_interval, sterne_pvalue
+from .sterne import DEFAULT_DELTA, jump_limits, sterne_pvalue
 
 _ARGUMENT_ERRORS = (BadAlpha, BadDelta, BadGrid, BadN, EmptySupport, OutOfSupport)
 
@@ -133,16 +132,8 @@ def _build_model(args) -> tuple:
 
 
 def _intervals(model, x, args):
-    methods = ("sterne", "cp", "lower", "upper") if args.method == "all" else (args.method,)
-    out = []
-    for m in methods:
-        if m == "sterne":
-            out.append(sterne_interval(model, x, args.alpha, args.delta))
-        elif m == "cp":
-            out.append(clopper_pearson(model, x, args.alpha))
-        else:
-            out.append(one_sided_interval(model, x, args.alpha, m))
-    return out
+    methods = METHOD_CHOICES[:-1] if args.method == "all" else (args.method,)
+    return [_interval(model, m, x, args.alpha, args.delta) for m in methods]
 
 
 def _model_dict(model) -> dict:
@@ -198,15 +189,23 @@ def _print_intervals(model, x, args, out=sys.stdout) -> None:
 def _curve_jumps(model, x, t_from, t_to):
     """All k whose special parameter theta_{k,x} lies inside [t_from, t_to].
 
-    theta_{k,x} increases with k over k != x, so a search down from x and one
-    up from x end the span of k to read; the filter drops the k of that span
-    outside a range that misses the plateau. The list comes in theta order.
+    theta_{k,x} increases with k over k != x, so each end of the span of k is
+    one search from x: up for the first k when the range lies above the
+    plateau, down for the last one when it lies below, and outward otherwise.
+    The list comes in theta order.
     """
     fam = model.family
     theta = lambda k: special_param(fam, x, k)
-    first = _search(lambda k: theta(k) < t_from, x, -1, fam.support.lo - 1, 1) + 1
-    last = _search(lambda k: theta(k) > t_to, x, +1, fam.support.hi + 1, 1) - 1
-    return [k for k in range(first, last + 1) if k != x and t_from <= theta(k) <= t_to]
+    below, above = fam.support.lo - 1, fam.support.hi + 1
+    if theta(x + 1) < t_from:
+        first = _search(lambda k: theta(k) >= t_from, x, +1, above, 1)
+    else:
+        first = _search(lambda k: theta(k) < t_from, x, -1, below, 1) + 1
+    if theta(x - 1) > t_to:
+        last = _search(lambda k: theta(k) <= t_to, x, -1, below, 1)
+    else:
+        last = _search(lambda k: theta(k) > t_to, x, +1, above, 1) - 1
+    return [k for k in range(first, last + 1) if k != x]
 
 
 def _natural_grid(start, end, points: int, what: str) -> list[float]:

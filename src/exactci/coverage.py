@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _unpack, clopper_pearson, lower_bound, upper_bound
+from .bounds import ConfidenceInterval, _unpack, clopper_pearson, one_sided_interval
 from .errors import UnboundedEnumeration
 from .sterne import DEFAULT_DELTA, _sweep, sterne_interval
 
@@ -50,21 +50,20 @@ class CoverageReport:
     min_coverage: float
 
 
-def interval_bounds(fam_or_model, method: str, x: int, alpha: float, delta: float = DEFAULT_DELTA):
-    """(theta_lo, theta_hi, natural_lo, natural_hi) for one outcome."""
-    family, to_natural = _unpack(fam_or_model)
+def _interval(fam_or_model, method: str, x: int, alpha: float, delta: float) -> ConfidenceInterval:
+    """The interval of one outcome by one method of METHODS (or "cp")."""
     method = _canon_method(method)
     if method == "sterne":
-        ci = sterne_interval(fam_or_model, x, alpha, delta)
-        return ci.theta_lo, ci.theta_hi, ci.natural_lo, ci.natural_hi
+        return sterne_interval(fam_or_model, x, alpha, delta)
     if method == "clopper_pearson":
-        ci = clopper_pearson(fam_or_model, x, alpha)
-        return ci.theta_lo, ci.theta_hi, ci.natural_lo, ci.natural_hi
-    if method == "lower":
-        a = lower_bound(family, x, alpha)
-        return a, math.inf, to_natural(a), to_natural(math.inf)
-    a = upper_bound(family, x, alpha)
-    return -math.inf, a, to_natural(-math.inf), to_natural(a)
+        return clopper_pearson(fam_or_model, x, alpha)
+    return one_sided_interval(fam_or_model, x, alpha, method)
+
+
+def interval_bounds(fam_or_model, method: str, x: int, alpha: float, delta: float = DEFAULT_DELTA):
+    """(theta_lo, theta_hi, natural_lo, natural_hi) for one outcome."""
+    ci = _interval(fam_or_model, method, x, alpha, delta)
+    return ci.theta_lo, ci.theta_hi, ci.natural_lo, ci.natural_hi
 
 
 def _bounds_of(fam_or_model, method: str, xs, alpha: float, delta: float) -> list[tuple]:

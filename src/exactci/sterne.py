@@ -36,11 +36,11 @@ its coverage is never below the nominal level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import family as _lattice
-from .bounds import (ConfidenceInterval, _bisect, _check_alpha, _check_x, _newton, _unpack,
-                     upper_bound)
+from .bounds import (_bisect, _check_alpha, _check_x, _ci, _newton, _solve_decreasing_cdf,
+                     _unpack)
 from .errors import BadDelta, DivergentSearch, OutOfSupport, UnboundedEnumeration
 from .family import Distribution, LatticeFamily, _search, reflect, special_param
 
@@ -170,18 +170,14 @@ def stage_one(fam_or_model, x: int, alpha: float) -> int:
     x = _check_x(family, x)
     if x == family.support.hi:
         raise ValueError("x is the support maximum; the upper bound is +inf")
-    return _k_star(family, x, alpha)
-
-
-def _k_star(family: LatticeFamily, x: int, alpha: float, start: int | None = None) -> int:
-    """``stage_one`` for a checked x < max(X), warm-started at ``start`` when given."""
-    return _jump_bracket(family, x, alpha, start)[0]
+    return _jump_bracket(family, x, alpha)[0]
 
 
 def _jump_bracket(family: LatticeFamily, x: int, alpha: float, start: int | None = None):
-    """(k_star, d, J(k_star + 1)): ``_k_star`` with the distribution the search
-    took at theta_{k_star,x} and the jump value it read at k_star + 1, each
-    None where it took none. No other probe's distribution is kept.
+    """(k_star, d, J(k_star + 1)): ``stage_one`` for a checked x < max(X), with
+    the distribution the search took at theta_{k_star,x} and the jump value it
+    read at k_star + 1, each None where it took none. No other probe's
+    distribution is kept.
 
     A warm search walks up from ``start`` by doubling steps from 1, as k_star
     moves by about one between neighbouring outcomes. It is taken only when
@@ -289,8 +285,8 @@ def _upper_result(family: LatticeFamily, x: int, alpha: float, delta: float,
         return _endpoint(k, b_lo, b_lo, p_lo, p_lo, delta, at_jump=True)
     b_hi = special_param(family, x, k + 1)
     if math.isinf(b_hi):
-        b = upper_bound(family, x, alpha)
-        p_b = piece(b)
+        # pi_k = P(X >= max(X) + 1) + F(x) = F(x): the tail the one-sided solve certified
+        b, p_b = _solve_decreasing_cdf(family, x, alpha)
         return _endpoint(k, b, b, p_b, p_b, delta)
     if p_hi is None:
         # evaluated apart from ``piece``, so that the Newton steps start from b_lo
@@ -300,15 +296,8 @@ def _upper_result(family: LatticeFamily, x: int, alpha: float, delta: float,
 
 def _lower_result(family: LatticeFamily, x: int, alpha: float, delta: float) -> SterneResult:
     r = _upper_result(reflect(family), -x, alpha, delta)
-    return SterneResult(
-        k_star=None if r.k_star is None else -r.k_star,
-        bound=-r.bound,
-        bracket=(-r.bracket[1], -r.bracket[0]),
-        bracket_pvalues=(r.bracket_pvalues[1], r.bracket_pvalues[0]),
-        achieved=r.achieved,
-        at_jump=r.at_jump,
-        delta=r.delta,
-    )
+    return replace(r, k_star=None if r.k_star is None else -r.k_star, bound=-r.bound,
+                   bracket=(-r.bracket[1], -r.bracket[0]), bracket_pvalues=r.bracket_pvalues[::-1])
 
 
 def _sweep(family: LatticeFamily, xs, alpha: float, delta: float) -> dict[int, tuple[float, float]]:
@@ -356,17 +345,7 @@ def sterne_interval(fam_or_model, x: int, alpha: float, delta: float = DEFAULT_D
     delta = _check_delta(delta)
     lo = _lower_result(family, x, alpha, delta)
     hi = _upper_result(family, x, alpha, delta)
-    return ConfidenceInterval(
-        method="sterne",
-        alpha=alpha,
-        theta_lo=lo.bound,
-        theta_hi=hi.bound,
-        natural_lo=to_natural(lo.bound),
-        natural_hi=to_natural(hi.bound),
-        pvalue_lo=lo.achieved,
-        pvalue_hi=hi.achieved,
-        delta=delta,
-    )
+    return _ci("sterne", alpha, to_natural, lo.bound, hi.bound, lo.achieved, hi.achieved, delta)
 
 
 def jump_limits(fam_or_model, x: int, k: int) -> tuple[float, float, float]:

@@ -54,7 +54,7 @@ PUBLIC = [
 INTERNALS = {
     "exactci.family": ["cdf", "log_pmf", "plateau", "reflect"],
     "exactci.sterne": ["SterneResult", "stage_one", "stage_two"],
-    "exactci.coverage": ["interval_bounds"],
+    "exactci.coverage": ["interval_bounds", "_interval"],
 }
 
 

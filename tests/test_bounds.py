@@ -433,3 +433,68 @@ class TestNewtonSolver:
         calls = count_evaluations(monkeypatch)
         assert [pvalue_two(bin20, 5, t) for t in (-3.0, -1.0, 0.5)] == want
         assert len(calls) == 3
+
+
+_POISSON = make_poisson()
+_OR_BIG = make_odds_ratio(49, 317, 245)
+
+
+@st.composite
+def outcomes(draw):
+    """(model, x) on binomial n <= 1e4, Poisson x <= 1e4 or the 49/317 table."""
+    kind = draw(st.sampled_from(["binomial", "poisson", "oddsratio"]))
+    if kind == "binomial":
+        n = draw(st.integers(1, 10_000))
+        return make_binomial(n), draw(st.integers(0, n))
+    if kind == "poisson":
+        return _POISSON, draw(st.integers(0, 10_000))
+    return _OR_BIG, draw(st.integers(0, 49))
+
+
+class TestCertifiedEndpointPvalues:
+    """Each finite end reports the tail its solve certified, with no evaluation
+    of the end after the solve; an open end reports 1.0 on a bounded side and
+    None on an unbounded one."""
+
+    @given(case=outcomes(), alpha=st.floats(math.log(1e-15), math.log(0.999)).map(math.exp))
+    @settings(max_examples=60, deadline=None)
+    def test_reported_tails_match_an_evaluation_at_the_end(self, case, alpha):
+        model, x = case
+        ci = clopper_pearson(model, x, alpha)
+        assert ci.pvalue_hi == pvalue_two(model, x, ci.theta_hi)
+        assert ci.pvalue_lo == pytest.approx(pvalue_two(model, x, ci.theta_lo), rel=1e-14)
+        lower = one_sided_interval(model, x, alpha, "lower")
+        upper = one_sided_interval(model, x, alpha, "upper")
+        assert upper.pvalue_hi == pvalue_left(model, x, upper.theta_hi)
+        assert lower.pvalue_lo == pytest.approx(pvalue_right(model, x, lower.theta_lo), rel=1e-14)
+        for p, theta in ((ci.pvalue_lo, ci.theta_lo), (ci.pvalue_hi, ci.theta_hi),
+                         (lower.pvalue_lo, lower.theta_lo), (upper.pvalue_hi, upper.theta_hi)):
+            assert p <= alpha if math.isfinite(theta) else p == 1.0
+        support = model.family.support
+        assert lower.pvalue_hi == (pvalue_right(model, x, math.inf)
+                                   if support.bounded_above else None)
+        assert upper.pvalue_lo == (pvalue_left(model, x, -math.inf)
+                                   if support.bounded_below else None)
+
+    @pytest.mark.parametrize("make, x", [
+        (lambda: make_binomial(20), 0), (lambda: make_binomial(20), 5),
+        (lambda: make_binomial(1000), 300), (make_poisson, 0), (make_poisson, 96000),
+        (lambda: make_odds_ratio(49, 317, 245), 42),
+    ])
+    def test_intervals_take_only_their_solves(self, monkeypatch, make, x):
+        model = make()
+        calls = count_evaluations(monkeypatch)
+        solves = []
+        for alpha in (0.025, 0.05):
+            for bound in (lower_bound, upper_bound):
+                calls.clear()
+                bound(model, x, alpha)
+                solves.append(len(calls))
+        lo_half, hi_half, lo, hi = solves
+        calls.clear()
+        clopper_pearson(model, x, 0.05)
+        assert len(calls) == lo_half + hi_half
+        for side, want in (("lower", lo), ("upper", hi)):
+            calls.clear()
+            one_sided_interval(model, x, 0.05, side)
+            assert len(calls) == want

@@ -183,6 +183,25 @@ class TestCurveJumps:
     def test_searches_match_the_walk(self, case):
         assert _curve_jumps(*case) == curve_jumps_reference(*case)
 
+    @pytest.mark.parametrize("argv", [
+        ("binomial", "--n", "100000", "--x", "10", "--curve",
+         "--from", "0.5", "--to", "0.5001", "--points", "3"),
+        ("poisson", "--x", "0", "--curve", "--from", "1000", "--to", "1001", "--points", "3"),
+    ])
+    def test_range_off_the_plateau_reads_few_special_parameters(self, monkeypatch, argv):
+        # the range lies far above the plateau: the first jump in it is one
+        # search away from x, and no k between x and it is read
+        reads, read = [], exactci.cli.special_param
+
+        def counted(*args):
+            reads.append(args)
+            return read(*args)
+
+        monkeypatch.setattr(exactci.cli, "special_param", counted)
+        code, _ = run_cli(*argv)
+        assert code == 0
+        assert len(reads) <= 200
+
 
 class TestAudit:
     def test_binomial_audit_holds_nominal_level(self):

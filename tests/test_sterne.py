@@ -32,7 +32,7 @@ from exactci import (
 )
 import exactci.family
 from exactci.family import plateau, reflect
-from exactci.sterne import _k_star, stage_one, stage_two
+from exactci.sterne import _jump_bracket, stage_one, stage_two
 from oracles import count_evaluations, k_star_reference, sterne_pvalue_oracle
 
 ALPHA = 0.05
@@ -238,7 +238,7 @@ class TestStageOne:
         fam = request.getfixturevalue(name).family
         k = stage_one(fam, x, ALPHA)
         for start in (x + 1, k - 1, k, k + 1, k + 7):
-            assert _k_star(fam, x, ALPHA, start=start) == k
+            assert _jump_bracket(fam, x, ALPHA, start)[0] == k
 
 
 class TestStageTwo:
@@ -332,6 +332,19 @@ class TestStageTwo:
         assert not r.at_jump
         assert r.bound == upper_bound(bin20, 17, ALPHA)
         assert r.achieved == bin20.family.distribution(r.bound).cdf(17) <= ALPHA
+
+    def test_past_last_jump_reads_the_solved_tail(self, monkeypatch, bin20):
+        # the end's p-value is the tail the one-sided solve certified, so the
+        # end costs stage one's probes and that solve, with no further evaluation
+        calls = count_evaluations(monkeypatch)
+        stage_one(bin20, 17, ALPHA)
+        probes = len(calls)
+        calls.clear()
+        upper_bound(bin20, 17, ALPHA)
+        solve = len(calls)
+        calls.clear()
+        sterne_upper(bin20, 17, ALPHA)
+        assert len(calls) == probes + solve
 
     def test_k_not_above_x_rejected(self, bin20):
         with pytest.raises(ValueError):
@@ -641,9 +654,9 @@ class TestKStarReference:
         # running it here gives all three searches the same one
         _k_or_error(lambda: fam.distribution(special_param(fam, x, x + 1)))
         expected = _k_or_error(lambda: k_star_reference(fam, x, alpha))
-        assert _k_or_error(lambda: _k_star(fam, x, alpha)) == expected
+        assert _k_or_error(lambda: _jump_bracket(fam, x, alpha)[0]) == expected
         start = draw_start((expected if isinstance(expected, int) else x + 64) + 8)
-        assert _k_or_error(lambda: _k_star(fam, x, alpha, start=start)) == expected
+        assert _k_or_error(lambda: _jump_bracket(fam, x, alpha, start)[0]) == expected
         return expected
 
     @given(data=st.data())

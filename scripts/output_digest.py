@@ -13,14 +13,22 @@ checkouts compare by diff:
     PYTHONPATH=../old/src python scripts/output_digest.py > old.jsonl
     diff old.jsonl new.jsonl
 
-It takes about 15 s on one core.
+It takes about 15 s on one core. ``--compare OLD NEW`` reads two such files
+and prints, for each case whose line moved and each field that moved in it,
+how many numbers moved and by how much relative at most, and any change of
+error name, of a number to or from infinity or nan, of the text around the
+numbers or of the evaluation count, then a summary per field:
+
+    python scripts/output_digest.py --compare old.jsonl new.jsonl
 """
 
+import argparse
 import contextlib
 import dataclasses
 import io
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -221,6 +229,89 @@ def cases():
         yield ["cli", argv], lambda argv=argv: _cli(argv)
 
 
+_NUMBER = re.compile(r"(-?(?:inf|nan|\d+(?:\.\d*)?(?:e[-+]?\d+)?))")
+
+
+def _leaves(tree, path=""):
+    """(field path, repr) of every leaf of an output; list items share their field."""
+    if isinstance(tree, dict):
+        for key, value in tree.items():
+            yield from _leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(tree, list):
+        for value in tree:
+            yield from _leaves(value, path)
+    else:
+        yield path or "out", tree
+
+
+def _moves(old: str | None, new: str | None) -> tuple[int, float, list[str]]:
+    """(numbers moved, largest relative move, other changes) between two reprs."""
+    if old == new:
+        return 0, 0.0, []
+    if old is None or new is None:
+        return 0, 0.0, [f"{old} -> {new}"]
+    a, b = _NUMBER.split(old), _NUMBER.split(new)
+    if len(a) != len(b) or a[::2] != b[::2]:
+        return 0, 0.0, ["text changed"]
+    moved, worst, other = 0, 0.0, []
+    for u, v in zip(a[1::2], b[1::2]):
+        if u == v:
+            continue
+        x, y = float(u), float(v)
+        if not (math.isfinite(x) and math.isfinite(y)):
+            other.append(f"{u} -> {v}")
+            continue
+        moved += 1
+        worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+    return moved, worst, other
+
+
+def compare(old_path: str, new_path: str, out=sys.stdout) -> None:
+    """Print the moves between two digests, case by case, then per field."""
+    def read(path):
+        with open(path) as fh:
+            return {json.dumps(line["case"]): line for line in map(json.loads, fh)}
+
+    old, new = read(old_path), read(new_path)
+    fields, cases = {}, 0
+    for key in list(old) + [k for k in new if k not in old]:
+        if key not in old or key not in new:
+            out.write(f"{key}\n  only in {old_path if key in old else new_path}\n")
+            continue
+        a, b = old[key], new[key]
+        notes = []
+        if a["error"] != b["error"]:
+            notes.append(f"error: {a['error']} -> {b['error']}")
+        if a["evals"] != b["evals"]:
+            notes.append(f"evals: {a['evals']} -> {b['evals']}")
+        olds, news = list(_leaves(a["out"])), list(_leaves(b["out"]))
+        if [f for f, _ in olds] != [f for f, _ in news]:
+            # an output that appears or goes with an error is named by the error line
+            notes += [] if a["error"] != b["error"] else ["fields changed"]
+            olds = news = []
+        moved = {}
+        for (field, u), (_, v) in zip(olds, news):
+            n, worst, other = _moves(u, v)
+            if n or other:
+                m = moved.setdefault(field, [0, 0.0, []])
+                m[0], m[1] = m[0] + n, max(m[1], worst)
+                m[2].extend(other)
+        for field, (n, worst, other) in moved.items():
+            parts = [f"{n} moved, max relative {worst:.2g}"] if n else []
+            notes.append(f"{field}: " + "; ".join(parts + other))
+            if n:
+                f = fields.setdefault(field, [0, 0, 0.0])
+                f[0], f[1], f[2] = f[0] + 1, f[1] + n, max(f[2], worst)
+        if notes:
+            cases += 1
+            out.write(key + "\n" + "".join(f"  {n}\n" for n in notes))
+    out.write(f"{cases} of {len(new)} cases moved\n")
+    for field, (c, n, worst) in sorted(fields.items()):
+        out.write(f"  {field}: {n} numbers in {c} cases, max relative {worst:.2g}\n")
+    total = lambda lines: sum(line["evals"] for line in lines.values())
+    out.write(f"evals: {total(old)} -> {total(new)}\n")
+
+
 def main() -> None:
     calls = [0]
     evaluate = LatticeFamily.distribution
@@ -242,4 +333,11 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="compare two digest files instead of printing one")
+    args = parser.parse_args()
+    if args.compare:
+        compare(*args.compare)
+    else:
+        main()

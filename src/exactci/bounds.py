@@ -127,8 +127,9 @@ def _solve_decreasing_cdf(family: LatticeFamily, x: int, target: float) -> tuple
     d/dtheta F off each evaluation, and its upper end is returned with F
     there: at most the target, the conservative side for an upper bound. As in
     ``stage_one``, a probe whose evaluation raises DivergentSearch or
-    UnboundedEnumeration counts as past the crossing; its error is raised if
-    the search returns it or must grow the bracket past it.
+    UnboundedEnumeration counts as past the crossing, and its error is raised
+    if the search returns it; a growth probe that fails is retried half as far
+    from the last end, until that is no step.
     """
     lo, hi = plateau(family, x)
     if not math.isfinite(lo):
@@ -148,26 +149,33 @@ def _solve_decreasing_cdf(family: LatticeFamily, x: int, target: float) -> tuple
     def slope(theta: float) -> float | None:  # at the theta cdf evaluated last
         return d.cdf_slope(x) if d is not None and d.theta == theta else None
 
-    f_lo, f_hi, grow = cdf(lo), None, step
-    while f_lo < target:
-        if lo in failed:
-            raise failed[lo]
-        lo, hi, f_hi = lo - grow, lo, f_lo
-        grow *= 2.0
-        if grow > 2.0**80:
-            raise DivergentSearch("no lower bracket for the cdf equation")
-        f_lo = cdf(lo)
-    if f_hi is None:
+    def grow(t: float, f_t: float, direction: float, done):
+        # (p, F(p), t, F(t)): doubling steps from t until done(F(p)), t the last point passed
+        s = step
+        while s <= 2.0**79:
+            p = t + direction * s
+            f_p = cdf(p)
+            if p in failed:
+                s *= 0.5
+                if t + direction * s == t:
+                    raise failed[p]
+            elif done(f_p):
+                return p, f_p, t, f_t
+            else:
+                t, f_t, s = p, f_p, 2.0 * s
+        raise DivergentSearch("no bracket for the cdf equation")
+
+    f_lo = cdf(lo)
+    if lo in failed:
+        raise failed[lo]
+    if f_lo < target:
+        lo, f_lo, hi, f_hi = grow(lo, f_lo, -1.0, lambda f: f >= target)
+    else:
         t = _newton(lo, f_lo, slope(lo), target)
         hi = t if t is not None and lo < t < math.inf else hi
         f_hi = cdf(hi)
-    grow = step
-    while f_hi > target:
-        lo, hi, f_lo = hi, hi + grow, f_hi
-        grow *= 2.0
-        if grow > 2.0**80:
-            raise DivergentSearch("no upper bracket for the cdf equation")
-        f_hi = cdf(hi)
+    if f_hi > target:
+        hi, f_hi, lo, f_lo = grow(hi, f_hi, +1.0, lambda f: f <= target)
     _, hi, _, f_hi = _bisect(cdf, lo, hi, f_lo, f_hi, target, THETA_TOL, math.inf, slope)
     if hi in failed:
         raise failed[hi]

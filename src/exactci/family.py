@@ -279,6 +279,13 @@ class LatticeFamily:
             ref.__dict__["_table"] = self._table[::-1]
         return ref
 
+    def _log_weights(self, a: int, b: int) -> np.ndarray:
+        """log w_x for x = a..b, read off the table of a bounded support."""
+        if self.support.bounded:
+            lo = int(self.support.lo)
+            return self._table[a - lo : b - lo + 1]
+        return np.asarray(self.log_weight(np.arange(a, b + 1, dtype=float)), dtype=float)
+
     def _logw(self, x: int) -> float:
         if self.support.bounded:
             return self._table.item(int(x) - int(self.support.lo))
@@ -382,12 +389,7 @@ class LatticeFamily:
         self._check_log_concave(theta)
         a, b, gm = self._window(theta)
         xs = np.arange(a, b + 1)
-        if self.support.bounded:
-            lo = int(self.support.lo)
-            logw = self._table[a - lo : b - lo + 1]
-        else:
-            logw = np.asarray(self.log_weight(xs.astype(float)), dtype=float)
-        g = logw + theta * xs
+        g = self._log_weights(a, b) + theta * xs
         e = np.exp(g - gm)
         s = float(e.sum())
         return Distribution(self.support, theta, xs, gm + math.log(s), g, e, s, self.log_weight)
@@ -403,10 +405,10 @@ def validate(family: LatticeFamily, theta: float = 0.0) -> None:
     family runs this check once, at the first finite theta it evaluates.
     """
     if family.support.bounded:
-        first, logw = int(family.support.lo), family._table
+        first, last = int(family.support.lo), int(family.support.hi)
     else:
-        first, b, _ = family._window(theta)
-        logw = np.asarray(family.log_weight(np.arange(first, b + 1, dtype=float)), dtype=float)
+        first, last, _ = family._window(theta)
+    logw = family._log_weights(first, last)
     bad = np.nonzero(~np.isfinite(logw))[0]
     if bad.size:
         raise NotLogConcave(first + int(bad[0]))

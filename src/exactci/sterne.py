@@ -28,9 +28,9 @@ jump of a bounded support the endpoint is the one-sided bound. Lower
 endpoints, and the pieces left of the plateau in ``sterne_pvalue``, reuse
 the same searches on the reflected family, whose special parameters are the
 exact negations. Whole-support sweeps (``exact_coverage``, ``length_table``)
-start each outcome's stage one at the previous outcome's k_star and walk up
-from it. The returned interval is the closed hull of the confidence set, so
-its coverage is never below the nominal level.
+start each outcome's stage one just past the previous outcome's k_star and
+walk up from there. The returned interval is the closed hull of the
+confidence set, so its coverage is never below the nominal level.
 """
 
 from __future__ import annotations
@@ -179,9 +179,11 @@ def _jump_bracket(family: LatticeFamily, x: int, alpha: float, start: int | None
     read at k_star + 1, each None where it took none. No other probe's
     distribution is kept.
 
-    A warm search walks up from ``start`` by doubling steps from 1, as k_star
-    moves by about one between neighbouring outcomes. It is taken only when
-    the jump value at ``start`` is still >= alpha, so it ends on the cold k.
+    A warm search bets that k_star moved up by one from ``start``, the previous
+    outcome's k_star: it probes s + 1, s = max(start, x + 1), and walks up from
+    there by doubling steps while the jump value is >= alpha; else it probes s,
+    and below alpha there too leaves the cold search a bracket closed at s. Any
+    bracket ends on the cold k; a step of zero or one costs two evaluations.
     """
     hi, cap = family.support.hi, x + _lattice.STEP_CAP
     lo, up, d_lo, j_up, failed = x + 1, hi + 1, None, None, {}
@@ -215,8 +217,12 @@ def _jump_bracket(family: LatticeFamily, x: int, alpha: float, start: int | None
 
     # entering the Newton loop at start instead saved 1.8 % of the sweeps' evaluations
     # but lost 11 of 14 alternating audit benchmark pairs on p50 latency (2-core machine)
-    if start is not None and not below(max(start, x + 1)):
-        _search(below, max(start, x + 1), +1, hi + 1, 1)
+    if start is not None:
+        s = max(start, x + 1)
+        if not below(s + 1):
+            _search(below, s + 1, +1, hi + 1, 1)
+        else:
+            below(s)
     k, before, last = x + 2, math.inf, math.inf
     while up - lo > 1:
         if lo == cap:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln
+from scipy.special import digamma, gammaln, logsumexp
 from scipy.stats import beta, gamma
 
 from exactci import (
@@ -318,6 +318,20 @@ class TestCdfSolverBrackets:
         for tail in (left, right):
             assert tail <= alpha / 2
             assert tail == pytest.approx(alpha / 2, rel=1e-6)
+
+    def test_failed_growth_probe_is_retried_half_as_far(self, monkeypatch):
+        # the harmonic family sums only for theta < 1; in its reflection the
+        # bracket grows down from the plateau of -1, [-0.5, 0], and the first
+        # probe lands next to theta = -1, where the evaluation fails; that
+        # must not end the search
+        calls = count_evaluations(monkeypatch)
+        a = lower_bound(harmonic_family(), 1, 0.9)
+        assert 0.5 < a < 0.9 and min(calls) < -1.0 + 1e-15
+        x = np.arange(0.0, 5000.0)
+        log_terms = -x + digamma(x + 1.0) + np.euler_gamma + a * x
+        tail = math.exp(logsumexp(log_terms[1:]) - logsumexp(log_terms))  # P(X >= 1)
+        assert tail <= 0.9
+        assert tail == pytest.approx(0.9, rel=1e-6)
 
     def test_negative_binomial_crossing_past_the_window_cap(self, negbin):
         # at alpha = 1e-15 the upper end lies where every window passes the

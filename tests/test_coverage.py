@@ -1,10 +1,12 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from exactci import (
+    InadmissibleInfiniteTheta,
     UnboundedEnumeration,
     exact_coverage,
     length_table,
@@ -15,8 +17,10 @@ from exactci import (
     upper_bound,
     write_csv,
 )
-from exactci.coverage import interval_bounds
+from exactci.coverage import _bounds_of, _grid_sums, interval_bounds
 from exactci.family import reflect
+from exactci.sterne import DEFAULT_DELTA, _sweep
+from oracles import count_evaluations
 
 GRID_95 = None  # built per model below
 
@@ -73,9 +77,17 @@ class TestExactCoverage:
         with pytest.raises(UnboundedEnumeration):
             exact_coverage(reflect(pois.family), "sterne", 0.05, [0.0])
 
+    def test_infinite_theta_on_an_unbounded_side_rejected(self, pois):
+        with pytest.raises(InadmissibleInfiniteTheta):
+            exact_coverage(pois, "sterne", 0.05, [0.0, math.inf])
+
     def test_empty_grid_rejected(self, bin20):
         with pytest.raises(ValueError):
             exact_coverage(bin20, "sterne", 0.05, [])
+
+    def test_nan_in_grid_rejected(self, bin20):
+        with pytest.raises(ValueError):
+            exact_coverage(bin20, "sterne", 0.05, [0.0, math.nan])
 
     def test_unknown_method_rejected(self, bin20):
         with pytest.raises(ValueError):
@@ -148,6 +160,103 @@ class TestSterneSweep:
         assert report.grid.tolist() == sorted(set(grid + ends))
         lengths = length_table(model, ["sterne"], 0.05, xs[::-1])["sterne"]
         assert lengths.tolist() == [nat_hi - nat_lo for _, _, nat_lo, nat_hi in single[::-1]]
+
+
+def per_theta_sums(family, grid, t_lo, t_hi, lengths):
+    """Coverage and expected length from one ``distribution`` per theta."""
+    x0, coverage, expected = int(family.support.lo), [], []
+    for eta in grid:
+        d = family.distribution(eta)
+        i = d.xs - x0
+        pmf, i = d.pmf_values[i < len(t_lo)], i[i < len(t_lo)]
+        coverage.append(pmf[(t_lo[i] <= eta) & (eta <= t_hi[i])].sum())
+        if lengths is not None:
+            finite = np.isfinite(lengths[i])
+            infinite_mass = np.any(pmf[~finite] > 0.0)
+            expected.append(math.inf if infinite_mass else pmf[finite] @ lengths[i][finite])
+    return np.asarray(coverage), None if lengths is None else np.asarray(expected)
+
+
+AUDITS = [(make_binomial(20), "sterne", (0.01, 0.99)), (make_binomial(200), "sterne", (0.01, 0.99)),
+          (make_binomial(200), "cp", (0.01, 0.99)),
+          (make_odds_ratio(49, 317, 245), "sterne", (0.1, 10.0)),
+          (make_odds_ratio(49, 317, 245), "lower", (0.1, 10.0)),
+          (make_odds_ratio(49, 317, 245), "upper", (0.1, 10.0)),
+          (make_poisson(), "sterne", (0.5, 20.0))]
+
+
+class TestBlockedGridSums:
+    """The grid is summed in blocks; each row must equal one pmf sum per theta."""
+
+    @pytest.mark.parametrize("model,method,span", AUDITS)
+    def test_audit_equals_per_theta_sums(self, model, method, span):
+        family = model.family
+        grid = [model.from_natural(v) for v in np.linspace(*span, 61)]
+        if family.support.bounded:
+            grid += [-math.inf, math.inf]
+        report = exact_coverage(model, method, 0.05, grid)
+        xs = range(int(family.support.lo), int(family.support.lo) + 1000)
+        if family.support.bounded:
+            xs = range(int(family.support.lo), int(family.support.hi) + 1)
+        t_lo, t_hi, n_lo, n_hi = map(np.asarray, zip(*_bounds_of(model, report.method, xs, 0.05,
+                                                                DEFAULT_DELTA)))
+        lengths = n_hi - n_lo if family.support.bounded else None
+        coverage, expected = per_theta_sums(family, report.grid, t_lo, t_hi, lengths)
+        np.testing.assert_allclose(report.coverage, coverage, rtol=1e-15, atol=0.0)
+        if lengths is None:
+            assert report.expected_length is None
+        else:
+            np.testing.assert_allclose(report.expected_length, expected, rtol=1e-15, atol=0.0)
+        if method in ("lower", "upper"):
+            # the odds ratio has no finite top, so some outcomes have infinite lengths
+            assert np.isinf(report.expected_length).any()
+
+    def test_large_support_blocks_stay_small(self):
+        # windows of up to 1.2e4 points, from near one support end to the other:
+        # near the low end a block has many rows, whose windows widen across
+        # it, and must be cut short (without that cut the peak reads 2.3 MB)
+        model = make_binomial(100000)
+        family = model.family
+        family.distribution(0.0)
+        grid = [-math.inf] + [model.from_natural(v) for v in np.linspace(1e-4, 1 - 1e-4, 500)]
+        x = np.arange(100001)
+        t_lo = np.asarray([model.from_natural(v) for v in np.clip((x - 400) / 1e5, 0.0, 1.0)])
+        t_hi = np.asarray([model.from_natural(v) for v in np.clip((x + 400) / 1e5, 0.0, 1.0)])
+        lengths = np.where(x % 1000 == 7, math.inf, 800.0 / 1e5)
+        tracemalloc.start()
+        try:
+            coverage, expected = _grid_sums(family, grid, t_lo, t_hi, lengths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        want_coverage, want_expected = per_theta_sums(family, grid, t_lo, t_hi, lengths)
+        np.testing.assert_allclose(coverage, want_coverage, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(expected, want_expected, rtol=1e-15, atol=0.0)
+        assert np.isinf(expected).any() and np.isfinite(expected).any()
+
+    @pytest.mark.parametrize("method", ["sterne", "cp", "lower"])
+    def test_grid_stage_makes_no_evaluation_on_a_bounded_support(self, monkeypatch, method):
+        model = make_binomial(200)
+        calls, at_grid = count_evaluations(monkeypatch), []
+
+        def bounds_of(*args):
+            rows = _bounds_of(*args)
+            at_grid.append(len(calls))
+            return rows
+
+        monkeypatch.setattr("exactci.coverage._bounds_of", bounds_of)
+        report = exact_coverage(model, method, 0.05, theta_grid(model, 0.005, 0.995))
+        assert len(report.grid) > 501
+        assert len(calls) == at_grid[0] > 0
+
+    def test_sweep_evaluations(self, monkeypatch):
+        # k_star moves by one between most neighbouring outcomes, and the warm
+        # start probes one past the last k_star first
+        family = make_binomial(200).family
+        calls = count_evaluations(monkeypatch)
+        _sweep(family, range(201), 0.05, DEFAULT_DELTA)
+        assert len(calls) <= 1150
 
 
 class TestCsv:

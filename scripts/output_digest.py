@@ -17,7 +17,9 @@ It takes about 15 s on one core. ``--compare OLD NEW`` reads two such files
 and prints, for each case whose line moved and each field that moved in it,
 how many numbers moved and by how much relative at most, and any change of
 error name, of a number to or from infinity or nan, of the text around the
-numbers or of the evaluation count, then a summary per field:
+numbers or of the evaluation count, then a summary per field. It exits with
+status 1 when any case moved, appeared or vanished, or changed its error or
+evaluation count, and 0 otherwise, so "bit-identical" is its exit status:
 
     python scripts/output_digest.py --compare old.jsonl new.jsonl
 """
@@ -266,8 +268,9 @@ def _moves(old: str | None, new: str | None) -> tuple[int, float, list[str]]:
     return moved, worst, other
 
 
-def compare(old_path: str, new_path: str, out=sys.stdout) -> None:
-    """Print the moves between two digests, case by case, then per field."""
+def compare(old_path: str, new_path: str, out=sys.stdout) -> int:
+    """Print the moves between two digests, case by case, then per field; return
+    the exit status, 1 if any case moved, appeared or vanished, else 0."""
     def read(path):
         with open(path) as fh:
             return {json.dumps(line["case"]): line for line in map(json.loads, fh)}
@@ -310,6 +313,7 @@ def compare(old_path: str, new_path: str, out=sys.stdout) -> None:
         out.write(f"  {field}: {n} numbers in {c} cases, max relative {worst:.2g}\n")
     total = lambda lines: sum(line["evals"] for line in lines.values())
     out.write(f"evals: {total(old)} -> {total(new)}\n")
+    return 1 if cases or old.keys() != new.keys() else 0
 
 
 def main() -> None:
@@ -338,6 +342,6 @@ if __name__ == "__main__":
                         help="compare two digest files instead of printing one")
     args = parser.parse_args()
     if args.compare:
-        compare(*args.compare)
+        sys.exit(compare(*args.compare))
     else:
         main()

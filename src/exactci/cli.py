@@ -18,9 +18,8 @@ import sys
 from .coverage import _interval, exact_coverage, write_csv
 from .errors import (BadAlpha, BadDelta, BadGrid, BadN, EmptySupport, ExactCIError,
                      OutOfSupport)
-from .family import _search, special_param
 from .models import TwoByTwoTable, make_binomial, make_odds_ratio, make_poisson, point_estimate
-from .sterne import DEFAULT_DELTA, jump_limits, sterne_pvalue
+from .sterne import DEFAULT_DELTA, _jumps_between, jump_limits, sterne_pvalue
 
 _ARGUMENT_ERRORS = (BadAlpha, BadDelta, BadGrid, BadN, EmptySupport, OutOfSupport)
 
@@ -186,28 +185,6 @@ def _print_intervals(model, x, args, out=sys.stdout) -> None:
         )
 
 
-def _curve_jumps(model, x, t_from, t_to):
-    """All k whose special parameter theta_{k,x} lies inside [t_from, t_to].
-
-    theta_{k,x} increases with k over k != x, so each end of the span of k is
-    one search from x: up for the first k when the range lies above the
-    plateau, down for the last one when it lies below, and outward otherwise.
-    The list comes in theta order.
-    """
-    fam = model.family
-    theta = lambda k: special_param(fam, x, k)
-    below, above = fam.support.lo - 1, fam.support.hi + 1
-    if theta(x + 1) < t_from:
-        first = _search(lambda k: theta(k) >= t_from, x, +1, above, 1)
-    else:
-        first = _search(lambda k: theta(k) < t_from, x, -1, below, 1) + 1
-    if theta(x - 1) > t_to:
-        last = _search(lambda k: theta(k) <= t_to, x, -1, below, 1)
-    else:
-        last = _search(lambda k: theta(k) > t_to, x, +1, above, 1) - 1
-    return [k for k in range(first, last + 1) if k != x]
-
-
 def _natural_grid(start, end, points: int, what: str) -> list[float]:
     """``points`` evenly spaced natural values from ``start`` to ``end``."""
     if start is None or end is None:
@@ -235,7 +212,7 @@ def _print_curve(model, x, args, out=sys.stdout) -> None:
     rows = []
     for nat, t in zip(nats, _thetas(model, nats)):
         rows.append((nat, sterne_pvalue(model, x, t).value, "sample"))
-    for k in _curve_jumps(model, x, t_from, t_to):
+    for k in _jumps_between(model.family, x, t_from, t_to):
         t, left, right = jump_limits(model, x, k)
         nat = model.to_natural(t)
         rows.append((nat, left, "left"))

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import ConfidenceInterval, _unpack, clopper_pearson, one_sided_interval
+from .bounds import ConfidenceInterval, _check_x, _unpack, clopper_pearson, one_sided_interval
 from .errors import InadmissibleInfiniteTheta, UnboundedEnumeration
 from .sterne import DEFAULT_DELTA, _sweep, sterne_interval
 
@@ -183,7 +183,7 @@ def length_table(fam_or_model, methods, alpha: float, xs, delta: float = DEFAULT
     Infinite lengths are reported as inf. Sterne rows come from the same
     warm-started sweep as in :func:`exact_coverage`.
     """
-    xs = [int(x) for x in xs]
+    xs = [_check_x(_unpack(fam_or_model)[0], x) for x in xs]
     out = {}
     for method in methods:
         name = _canon_method(method)

@@ -24,9 +24,11 @@ read off each evaluation, kept inside a bracket that stops once both its
 width and the p-value gap fall below delta, or once no float lies strictly
 inside it. Stage two reads the distribution at theta_{k_star,x} and the
 p-value at theta_{k_star+1,x} off stage one's bracket ends. Past the last
-jump of a bounded support the endpoint is the one-sided bound. Lower
-endpoints, and the pieces left of the plateau in ``sterne_pvalue``, reuse
-the same searches on the reflected family, whose special parameters are the
+jump of a bounded support the endpoint is the one-sided bound. One piece
+search, ``_first_jump``, finds the first k > x with theta_{k,x} >= eta for
+``sterne_pvalue`` and for the curve jumps ``_jumps_between`` lists. Lower
+endpoints, the pieces left of the plateau and the jumps below x reuse the
+same searches on the reflected family, whose special parameters are the
 exact negations. Whole-support sweeps (``exact_coverage``, ``length_table``)
 start each outcome's stage one just past the previous outcome's k_star and
 walk up from there. The returned interval is the closed hull of the
@@ -120,23 +122,29 @@ def sterne_pvalue(fam_or_model, x: int, eta: float) -> PValueEvaluation:
         return PValueEvaluation(1.0, x, eta == t_lo or eta == t_hi)
 
     if eta > t_hi:
-        k = _first_k_at_or_above(family, x, eta)
+        k = _first_jump(family, x, eta)
         value = _two_tails(family.distribution(eta), k, x)
     else:
         # theta_{k,x} of the reflection at (-x, -k) is exactly -theta_{k,x}
-        k = -_first_k_at_or_above(reflect(family), -x, -eta)
+        k = -_first_jump(reflect(family), -x, -eta)
         value = _two_tails(family.distribution(eta), x, k)
     at = k in family.support and special_param(family, x, k) == eta
     return PValueEvaluation(value, k, at)
 
 
-def _first_k_at_or_above(family: LatticeFamily, x: int, eta: float) -> int:
-    """Smallest k >= x + 2 with theta_{k,x} >= eta (hi + 1 when none).
+def _first_jump(family: LatticeFamily, x: int, eta: float, strict: bool = False) -> int:
+    """Smallest k > x with theta_{k,x} >= eta, or > eta when ``strict`` (hi + 1 when none)."""
+    past = (lambda t: t > eta) if strict else (lambda t: t >= eta)
+    return _search(lambda k: past(special_param(family, x, k)), x, +1, family.support.hi + 1, 1)
 
-    eta must lie above theta_{x+1,x}.
-    """
-    at_or_above = lambda k: special_param(family, x, k) >= eta
-    return _search(at_or_above, x + 1, +1, family.support.hi + 1, 1)
+
+def _jumps_between(family: LatticeFamily, x: int, t_from: float, t_to: float) -> list[int]:
+    """Each k with theta_{k,x} in [t_from, t_to], in theta order: a span of k above x
+    ended by two piece searches, and the same span of the reflection at -x below it."""
+    mirror = reflect(family)
+    below = range(_first_jump(mirror, -x, -t_to), _first_jump(mirror, -x, -t_from, strict=True))
+    above = range(_first_jump(family, x, t_from), _first_jump(family, x, t_to, strict=True))
+    return [-j for j in reversed(below)] + list(above)
 
 
 def _endpoint(k, lo: float, hi: float, p_lo: float, p_hi: float, delta: float,
@@ -361,9 +369,9 @@ def jump_limits(fam_or_model, x: int, k: int) -> tuple[float, float, float]:
     right limit does.
     """
     family, _ = _unpack(fam_or_model)
-    x, k = int(x), int(k)
+    x = _check_x(family, x)
     t = special_param(family, x, k)
-    d = family.distribution(t)
+    k, d = int(k), family.distribution(t)
     if k > x:
         left = _two_tails(d, k, x) if k > x + 1 else 1.0
         right = _two_tails(d, k + 1, x)

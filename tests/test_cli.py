@@ -14,11 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exactci.cli
+import exactci.sterne
 from exactci.bounds import clopper_pearson
-from exactci.cli import _curve_jumps, run
+from exactci.cli import run
 from exactci.family import special_param
 from exactci.models import make_binomial, make_odds_ratio, make_poisson
-from exactci.sterne import DEFAULT_DELTA, sterne_interval
+from exactci.sterne import DEFAULT_DELTA, _jumps_between, sterne_interval
 from oracles import curve_jumps_reference
 
 
@@ -181,7 +182,8 @@ class TestCurveJumps:
     @given(case=curve_ranges())
     @settings(max_examples=300, deadline=None)
     def test_searches_match_the_walk(self, case):
-        assert _curve_jumps(*case) == curve_jumps_reference(*case)
+        model, x, t_from, t_to = case
+        assert _jumps_between(model.family, x, t_from, t_to) == curve_jumps_reference(*case)
 
     @pytest.mark.parametrize("argv", [
         ("binomial", "--n", "100000", "--x", "10", "--curve",
@@ -190,17 +192,23 @@ class TestCurveJumps:
     ])
     def test_range_off_the_plateau_reads_few_special_parameters(self, monkeypatch, argv):
         # the range lies far above the plateau: the first jump in it is one
-        # search away from x, and no k between x and it is read
-        reads, read = [], exactci.cli.special_param
+        # search away from x, and no k between x and it is read. Only the
+        # reads inside the jump listing count, not those of the samples.
+        reads, read, jumps = [], exactci.sterne.special_param, exactci.cli._jumps_between
 
         def counted(*args):
             reads.append(args)
             return read(*args)
 
-        monkeypatch.setattr(exactci.cli, "special_param", counted)
+        def listed(*args):
+            with monkeypatch.context() as m:
+                m.setattr(exactci.sterne, "special_param", counted)
+                return jumps(*args)
+
+        monkeypatch.setattr(exactci.cli, "_jumps_between", listed)
         code, _ = run_cli(*argv)
         assert code == 0
-        assert len(reads) <= 200
+        assert 0 < len(reads) <= 200
 
 
 class TestAudit:

@@ -7,6 +7,7 @@ import pytest
 
 from exactci import (
     InadmissibleInfiniteTheta,
+    OutOfSupport,
     UnboundedEnumeration,
     exact_coverage,
     length_table,
@@ -139,6 +140,13 @@ class TestLengthTable:
         assert lt["lower"][0] == pytest.approx(want, abs=1e-15)
         lt = length_table(pois, ["lower"], 0.05, [5])
         assert lt["lower"][0] == math.inf
+
+    @pytest.mark.parametrize("xs", [[5, 5.7], [5, True]])
+    @pytest.mark.parametrize("method", ["sterne", "cp"])
+    def test_non_integer_outcomes_rejected(self, bin20, method, xs):
+        # int() would read them as 5 and 1, and give rows for them
+        with pytest.raises(OutOfSupport):
+            length_table(bin20, [method], 0.05, xs)
 
 
 SWEEPS = [(make_binomial(20), 8.0), (make_binomial(200), 8.0),

@@ -174,6 +174,16 @@ class TestJumpStructure:
             assert right == jump_value(fam, 5, k)
             assert right - left == pytest.approx(fam.distribution(t).pmf(k), rel=1e-9)
 
+    @pytest.mark.parametrize("x,k", [(5.7, 8), (True, 3), (5, 8.9), (5, True)])
+    def test_jump_limits_reject_non_integer_outcomes(self, bin20, x, k):
+        # int() would read these as the outcomes 5, 1, 8 and 1
+        with pytest.raises(OutOfSupport):
+            jump_limits(bin20, x, k)
+
+    def test_jump_limits_at_sentinels(self, bin20):
+        assert jump_limits(bin20, 5, 21) == (math.inf, 0.0, 0.0)
+        assert jump_limits(bin20, 5, -1) == (-math.inf, 0.0, 0.0)
+
     def test_jump_limits_at_plateau_edges(self, bin20):
         _, left, right = jump_limits(bin20, 5, 6)
         assert left == 1.0

@@ -438,15 +438,15 @@ def special_param(family: LatticeFamily, x: int, k: int) -> float:
     """
     if x not in family.support:
         raise OutOfSupport(f"x = {x} is not in the support")
+    if k not in family.support:
+        # only an int can be a sentinel: 21.0 == 21 and True == 1 are none
+        if _is_int(k) and family.support.bounded_below and k == int(family.support.lo) - 1:
+            return -math.inf
+        if _is_int(k) and family.support.bounded_above and k == int(family.support.hi) + 1:
+            return math.inf
+        raise OutOfSupport(f"k = {k} is not in the support (nor a sentinel)")
     if k == x:
         raise KEqualsX("theta_{k,x} is undefined for k = x")
-    lo, hi = family.support.lo, family.support.hi
-    if family.support.bounded_below and k == int(lo) - 1:
-        return -math.inf
-    if family.support.bounded_above and k == int(hi) + 1:
-        return math.inf
-    if k not in family.support:
-        raise OutOfSupport(f"k = {k} is not in the support (nor a sentinel)")
     return (family._logw(x) - family._logw(k)) / (int(k) - int(x))
 
 

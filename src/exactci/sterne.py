@@ -30,13 +30,15 @@ search, ``_first_jump``, finds the first k > x with theta_{k,x} >= eta for
 endpoints, the pieces left of the plateau and the jumps below x reuse the
 same searches on the reflected family, whose special parameters are the
 exact negations. Whole-support sweeps (``exact_coverage``, ``length_table``)
-start each outcome's stage one just past the previous outcome's k_star and
-walk up from there. The returned interval is the closed hull of the
-confidence set, so its coverage is never below the nominal level.
+warm-start each outcome's stage one at the previous k_star, and read most
+lower ends off the staircase of k_star, since pi(x, theta_{k,x}) =
+pi(k, theta_{k,x}) (``_sweep``). The returned interval is the closed hull of
+the confidence set, so its coverage is never below the nominal level.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 
@@ -121,21 +123,26 @@ def sterne_pvalue(fam_or_model, x: int, eta: float) -> PValueEvaluation:
     if t_lo <= eta <= t_hi:
         return PValueEvaluation(1.0, x, eta == t_lo or eta == t_hi)
 
-    if eta > t_hi:
-        k = _first_jump(family, x, eta)
-        value = _two_tails(family.distribution(eta), k, x)
-    else:
-        # theta_{k,x} of the reflection at (-x, -k) is exactly -theta_{k,x}
-        k = -_first_jump(reflect(family), -x, -eta)
-        value = _two_tails(family.distribution(eta), x, k)
-    at = k in family.support and special_param(family, x, k) == eta
-    return PValueEvaluation(value, k, at)
+    # right of the plateau the piece search runs over k > x, left of it on the reflection, whose
+    # theta_{-k,-x} is exactly -theta_{k,x}; ``seen`` holds the plateau edge, so none is read twice
+    fam, s, edge = (family, 1, t_hi) if eta > t_hi else (reflect(family), -1, -t_lo)
+    seen = {s * x + 1: edge}
+    k = s * _first_jump(fam, s * x, s * eta, seen=seen)
+    d = family.distribution(eta)
+    value = _two_tails(d, k, x) if k > x else _two_tails(d, x, k)
+    return PValueEvaluation(value, k, seen[s * k] == s * eta)
 
 
-def _first_jump(family: LatticeFamily, x: int, eta: float, strict: bool = False) -> int:
-    """Smallest k > x with theta_{k,x} >= eta, or > eta when ``strict`` (hi + 1 when none)."""
-    past = (lambda t: t > eta) if strict else (lambda t: t >= eta)
-    return _search(lambda k: past(special_param(family, x, k)), x, +1, family.support.hi + 1, 1)
+def _first_jump(family: LatticeFamily, x: int, eta: float, strict: bool = False,
+                seen: dict | None = None) -> int:
+    """Smallest k > x with theta_{k,x} >= eta (> eta if ``strict``), or hi + 1; reads go to ``seen``."""
+    seen = {} if seen is None else seen
+
+    def past(k: int) -> bool:
+        t = seen[k] = seen[k] if k in seen else special_param(family, x, k)
+        return t > eta if strict else t >= eta
+
+    return _search(past, x, +1, family.support.hi + 1, 1)
 
 
 def _jumps_between(family: LatticeFamily, x: int, t_from: float, t_to: float) -> list[int]:
@@ -182,10 +189,10 @@ def stage_one(fam_or_model, x: int, alpha: float) -> int:
 
 
 def _jump_bracket(family: LatticeFamily, x: int, alpha: float, start: int | None = None):
-    """(k_star, d, J(k_star + 1)): ``stage_one`` for a checked x < max(X), with
-    the distribution the search took at theta_{k_star,x} and the jump value it
-    read at k_star + 1, each None where it took none. No other probe's
-    distribution is kept.
+    """(k_star, d, J(k_star), J(k_star + 1)): ``stage_one`` for a checked x <
+    max(X), with the distribution the search took at theta_{k_star,x} and the
+    jump values it read there and at k_star + 1, each None where it took none
+    (J(x + 1) is 1 on the plateau edge). No other probe's distribution is kept.
 
     A warm search bets that k_star moved up by one from ``start``, the previous
     outcome's k_star: it probes s + 1, s = max(start, x + 1), and walks up from
@@ -194,10 +201,10 @@ def _jump_bracket(family: LatticeFamily, x: int, alpha: float, start: int | None
     bracket ends on the cold k; a step of zero or one costs two evaluations.
     """
     hi, cap = family.support.hi, x + _lattice.STEP_CAP
-    lo, up, d_lo, j_up, failed = x + 1, hi + 1, None, None, {}
+    lo, up, d_lo, j_lo, j_up, failed = x + 1, hi + 1, None, 1.0, None, {}
 
     def probe(k: int):
-        nonlocal lo, up, d_lo, j_up
+        nonlocal lo, up, d_lo, j_lo, j_up
         try:
             d = family.distribution(special_param(family, x, k))
             # pi(x, theta_{k,x}), where outcome k is still tied with x
@@ -207,7 +214,7 @@ def _jump_bracket(family: LatticeFamily, x: int, alpha: float, start: int | None
         if j < alpha:
             up, j_up = k, j
         else:
-            lo, d_lo = k, d
+            lo, d_lo, j_lo = k, d, j
         return d, j
 
     def below(k: int) -> bool:
@@ -242,7 +249,7 @@ def _jump_bracket(family: LatticeFamily, x: int, alpha: float, start: int | None
         k = min(p, cap)
     if up in failed:
         raise failed[up]
-    return lo, d_lo, j_up
+    return lo, d_lo, j_lo, j_up
 
 
 def stage_two(fam_or_model, x: int, k: int, alpha: float, delta: float = DEFAULT_DELTA) -> SterneResult:
@@ -267,12 +274,13 @@ def stage_two(fam_or_model, x: int, k: int, alpha: float, delta: float = DEFAULT
     x, k = int(x), int(k)
     if k <= x:
         raise ValueError("stage_two expects k > x")
-    return _upper_result(family, x, alpha, delta, k=k)
+    return _upper_result(family, x, alpha, delta, k=k)[0]
 
 
 def _upper_result(family: LatticeFamily, x: int, alpha: float, delta: float,
-                  start: int | None = None, k: int | None = None) -> SterneResult:
-    """The upper endpoint, by ``stage_two`` in the piece following theta_{k,x}.
+                  start: int | None = None, k: int | None = None):
+    """The upper endpoint, by ``stage_two`` in the piece following theta_{k,x},
+    with the distribution at theta_{k,x}, J(k) and J(k + 1), each None where not read.
 
     Without ``k``, stage one finds k_star first, warm-started at ``start`` (the
     k_star of a smaller outcome) when given. Stage two then reads the
@@ -280,10 +288,10 @@ def _upper_result(family: LatticeFamily, x: int, alpha: float, delta: float,
     off stage one's bracket ends instead of evaluating them again.
     """
     if x == family.support.hi:
-        return _endpoint(None, math.inf, math.inf, 1.0, 1.0, delta)
-    d = p_hi = None
+        return _endpoint(None, math.inf, math.inf, 1.0, 1.0, delta), None, None, None
+    d = j_lo = p_hi = None
     if k is None:
-        k, d, p_hi = _jump_bracket(family, x, alpha, start)
+        k, d, j_lo, p_hi = _jump_bracket(family, x, alpha, start)
 
     def piece(t: float) -> float:
         nonlocal d
@@ -295,21 +303,23 @@ def _upper_result(family: LatticeFamily, x: int, alpha: float, delta: float,
 
     b_lo = special_param(family, x, k)
     p_lo = piece(b_lo) if d is None else _two_tails(d, k + 1, x)
+    d_lo = d
     if p_lo <= alpha:
-        return _endpoint(k, b_lo, b_lo, p_lo, p_lo, delta, at_jump=True)
+        return _endpoint(k, b_lo, b_lo, p_lo, p_lo, delta, at_jump=True), d_lo, j_lo, p_hi
     b_hi = special_param(family, x, k + 1)
     if math.isinf(b_hi):
         # pi_k = P(X >= max(X) + 1) + F(x) = F(x): the tail the one-sided solve certified
         b, p_b = _solve_decreasing_cdf(family, x, alpha)
-        return _endpoint(k, b, b, p_b, p_b, delta)
+        return _endpoint(k, b, b, p_b, p_b, delta), d_lo, j_lo, p_hi
     if p_hi is None:
         # evaluated apart from ``piece``, so that the Newton steps start from b_lo
         p_hi = _two_tails(family.distribution(b_hi), k + 1, x)
-    return _endpoint(k, *_bisect(piece, b_lo, b_hi, p_lo, p_hi, alpha, delta, delta, slope), delta)
+    b = _bisect(piece, b_lo, b_hi, p_lo, p_hi, alpha, delta, delta, slope)
+    return _endpoint(k, *b, delta), d_lo, j_lo, p_hi
 
 
 def _lower_result(family: LatticeFamily, x: int, alpha: float, delta: float) -> SterneResult:
-    r = _upper_result(reflect(family), -x, alpha, delta)
+    r = _upper_result(reflect(family), -x, alpha, delta)[0]
     return replace(r, k_star=None if r.k_star is None else -r.k_star, bound=-r.bound,
                    bracket=(-r.bracket[1], -r.bracket[0]), bracket_pvalues=r.bracket_pvalues[::-1])
 
@@ -317,31 +327,59 @@ def _lower_result(family: LatticeFamily, x: int, alpha: float, delta: float) -> 
 def _sweep(family: LatticeFamily, xs, alpha: float, delta: float) -> dict[int, tuple[float, float]]:
     """{x: (theta_lo, theta_hi)} for every outcome in xs, as ``sterne_interval`` gives them.
 
-    k_star is nondecreasing in x, so the upper ends run over ascending x with
-    each stage one warm-started at the previous k_star; the lower ends are
-    upper ends of the reflection over ascending -x.
+    k*(x) is nondecreasing, so the upper ends run over ascending x with each
+    stage one warm-started at the previous k*. The lower end of z is the upper
+    end of -z on the reflection, whose jump value at -x is J(x; z) = P(X <= x)
+    + P(X >= z) at theta_{z,x}: x and z are equally likely there, so they share
+    one "no more probable" set (Sterne 1954), and the upper search of x reads
+    the same value at k = z. J(x; k) falls in k and rises in x, so the
+    reflected search lands on x* = the smallest x with k*(x) >= z. x* is
+    certified when x* - 1 was swept too (or x* is the support minimum),
+    J(x*; k*(x*)) >= alpha + m and J(x* - 1; k*(x* - 1) + 1) <= alpha - m.
+    Then the lower end is the jump theta_{x*,z} if k*(x*) = z and q = P(X <=
+    x* - 1) + P(X >= z) <= alpha - m at theta_{z,x*}, read off the upper
+    search's distribution there, and else stage two alone finds it. Outcomes
+    not certified (sparse xs, values within m of alpha) run the warm reflected
+    search over descending z.
+
+    The margin m covers the one way the two sides' values at one theta differ:
+    the reflection builds the same summands e and sums each tail in the same
+    order, but sums the normaliser s in reverse (and if at a tie it picks the
+    neighbouring mode, its e carry a common factor and the roundings of one
+    g - g_mode, |g - g_mode| <= TAIL_DROP, and of one exp). Over a window of n
+    points the two values of J or q differ by less than 8 (n + TAIL_DROP + 2) u
+    relative, u = 2^-53, plus n 2^-1074 below the normal range. m = (n +
+    TAIL_DROP) 2^-48 (alpha + 2^-1022), n the support size or window cap, is over twice that.
     """
     xs = sorted({_check_x(family, x) for x in xs})
     alpha, delta = _check_alpha(alpha), _check_delta(delta)
-
-    def uppers(fam: LatticeFamily, zs) -> list[float]:
-        ends, k = [], None
-        for z in zs:
-            r = _upper_result(fam, z, alpha, delta, k)
-            ends.append(r.bound)
-            k = r.k_star
-        return ends
-
-    his = uppers(family, xs)
-    los = [-b for b in reversed(uppers(reflect(family), [-x for x in reversed(xs)]))]
-    return {x: ends for x, ends in zip(xs, zip(los, his))}
+    n = family.support.hi - family.support.lo + 1 if family.support.bounded else _lattice._MAX_WINDOW
+    m = (n + _lattice.TAIL_DROP) * 2.0**-48 * (alpha + 2.0**-1022)
+    his, ups, k = {}, [], None
+    for x in xs:
+        r, d, j, j_next = _upper_result(family, x, alpha, delta, k)
+        his[x], k = r.bound, r.k_star
+        # (k*, J(x; k*), J(x; k* + 1), q at z = k*); the outcome max(X) has no jump
+        ups.append((k, j, j_next, _two_tails(d, k, x - 1)) if d else (math.inf,))
+    ks, mirror, los, k = [u[0] for u in ups], reflect(family), {}, None
+    for z in reversed(xs):
+        i = bisect.bisect_left(ks, z)
+        x = xs[i] if i < len(xs) else z
+        certified = x < z and ups[i][1] >= alpha + m and (
+            x == family.support.lo or i > 0 and xs[i - 1] == x - 1 and ups[i - 1][2] <= alpha - m)
+        if certified and ks[i] == z and ups[i][3] <= alpha - m:
+            los[z], k = special_param(family, x, z), -x
+        else:
+            r = _upper_result(mirror, -z, alpha, delta, k, -x if certified else None)[0]
+            los[z], k = -r.bound, r.k_star
+    return {x: (los[x], his[x]) for x in xs}
 
 
 def sterne_upper(fam_or_model, x: int, alpha: float, delta: float = DEFAULT_DELTA) -> float:
     """Upper endpoint of the Sterne confidence set (+inf at the support max)."""
     family, _ = _unpack(fam_or_model)
     x = _check_x(family, x)
-    return _upper_result(family, x, _check_alpha(alpha), _check_delta(delta)).bound
+    return _upper_result(family, x, _check_alpha(alpha), _check_delta(delta))[0].bound
 
 
 def sterne_lower(fam_or_model, x: int, alpha: float, delta: float = DEFAULT_DELTA) -> float:
@@ -358,7 +396,7 @@ def sterne_interval(fam_or_model, x: int, alpha: float, delta: float = DEFAULT_D
     alpha = _check_alpha(alpha)
     delta = _check_delta(delta)
     lo = _lower_result(family, x, alpha, delta)
-    hi = _upper_result(family, x, alpha, delta)
+    hi = _upper_result(family, x, alpha, delta)[0]
     return _ci("sterne", alpha, to_natural, lo.bound, hi.bound, lo.achieved, hi.achieved, delta)
 
 

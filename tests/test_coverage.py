@@ -4,9 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import exactci.sterne
 
 from exactci import (
     InadmissibleInfiniteTheta,
+    LatticeFamily,
     OutOfSupport,
     UnboundedEnumeration,
     exact_coverage,
@@ -15,12 +20,14 @@ from exactci import (
     make_binomial,
     make_odds_ratio,
     make_poisson,
+    special_param,
     upper_bound,
     write_csv,
 )
 from exactci.coverage import _bounds_of, _grid_sums, interval_bounds
 from exactci.family import reflect
-from exactci.sterne import DEFAULT_DELTA, _sweep
+from exactci.sterne import (DEFAULT_DELTA, _lower_result, _sweep, _two_tails, stage_one,
+                            sterne_lower)
 from oracles import count_evaluations
 
 GRID_95 = None  # built per model below
@@ -154,7 +161,8 @@ SWEEPS = [(make_binomial(20), 8.0), (make_binomial(200), 8.0),
 
 
 class TestSterneSweep:
-    """Whole-support sweeps warm-start stage one, with per-x results unchanged."""
+    """Whole-support sweeps warm-start stage one and read most lower ends off
+    the k_star staircase, with per-x results unchanged."""
 
     @pytest.mark.parametrize("model,span", SWEEPS)
     def test_sweep_endpoints_equal_single_calls(self, model, span):
@@ -169,6 +177,83 @@ class TestSterneSweep:
         lengths = length_table(model, ["sterne"], 0.05, xs[::-1])["sterne"]
         assert lengths.tolist() == [nat_hi - nat_lo for _, _, nat_lo, nat_hi in single[::-1]]
 
+    def test_certified_lower_jump_ends_make_no_reflected_evaluation(self, monkeypatch):
+        # where the upper search of x* ends at k*(x*) = z and the lower end of
+        # z is the jump theta_{x*,z}, the sweep reads that end off the upper
+        # search and does no work on the reflection for z
+        family = make_binomial(200).family
+        mirror = reflect(family)
+        k_star = {x: stage_one(family, x, 0.05) for x in range(200)}
+        single = {z: _lower_result(family, z, 0.05, DEFAULT_DELTA) for z in range(1, 201)}
+        jumps = {z for z, r in single.items() if r.at_jump and k_star[r.k_star] == z}
+        assert len(jumps) > 150
+        reflected, called = [], []
+        evaluate, upper_result = LatticeFamily.distribution, exactci.sterne._upper_result
+
+        def counted(self, theta):
+            if self is mirror:
+                reflected.append(theta)
+            return evaluate(self, theta)
+
+        def spied(fam, x, *args):
+            if fam is mirror:
+                called.append(-x)
+            return upper_result(fam, x, *args)
+
+        monkeypatch.setattr(LatticeFamily, "distribution", counted)
+        monkeypatch.setattr("exactci.sterne._upper_result", spied)
+        ends = _sweep(family, range(201), 0.05, DEFAULT_DELTA)
+        assert all(ends[z][0] == single[z].bound for z in jumps)
+        assert not jumps & set(called)
+        assert not {-single[z].bound for z in jumps} & set(reflected)
+        assert 0 < len(reflected) < 200
+
+    def test_sweep_equals_single_calls_when_alpha_ties_a_jump_value(self):
+        # alpha is a value read at theta_{k,x}, the jump value J(x; k) or
+        # q = P(X <= x - 1) + P(X >= k), as the family or the reflection sums
+        # it, where the two sums round to different doubles: the staircase and
+        # the reflected search can then disagree on the lower end of k, and the
+        # rounding margin must send that outcome to the search
+        model = make_binomial(12)
+        family, mirror = model.family, reflect(model.family)
+        ties = []
+        for x in range(12):
+            for k in range(x + 2, 13):
+                d = family.distribution(special_param(family, x, k))
+                d_mirror = mirror.distribution(special_param(mirror, -k, -x))
+                for a, b in ((k, x), (k, x - 1)):
+                    v, w = _two_tails(d, a, b), _two_tails(d_mirror, -b, -a)
+                    ties += [(k, v), (k, w)] if v != w and 1e-6 < v < 0.5 else []
+        assert len(ties) > 40
+        for k, alpha in ties:
+            assert _sweep(family, range(13), alpha, DEFAULT_DELTA)[k][0] == sterne_lower(model, k, alpha)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_sweep_equals_single_calls_on_random_outcomes(self, data):
+        # contiguous xs certify most lower ends off the staircase; sparse xs,
+        # and the first outcome of a range above the support minimum, fall back
+        # to the reflected search
+        kind = data.draw(st.sampled_from(["binomial", "odds_ratio", "poisson"]))
+        if kind == "binomial":
+            model = make_binomial(data.draw(st.integers(1, 300)))
+        elif kind == "odds_ratio":
+            n1, n2 = data.draw(st.integers(1, 60)), data.draw(st.integers(1, 400))
+            model = make_odds_ratio(n1, n2, data.draw(st.integers(1, n1 + n2 - 1)))
+        else:
+            model = make_poisson()
+        support = model.family.support
+        lo, hi = int(support.lo), int(support.hi) if support.bounded else 200
+        a = data.draw(st.integers(lo, hi))
+        b = data.draw(st.integers(a, min(hi, a + 60)))
+        if data.draw(st.booleans()):
+            xs = data.draw(st.lists(st.integers(a, b), min_size=1, unique=True))
+        else:
+            xs = list(range(a, b + 1))
+        alpha = 10.0 ** data.draw(st.floats(-6.0, math.log10(0.5)))
+        ends = _sweep(model.family, xs, alpha, DEFAULT_DELTA)
+        for x in xs:
+            assert ends[x] == interval_bounds(model, "sterne", x, alpha)[:2]
 
 def per_theta_sums(family, grid, t_lo, t_hi, lengths):
     """Coverage and expected length from one ``distribution`` per theta."""
@@ -259,12 +344,13 @@ class TestBlockedGridSums:
         assert len(calls) == at_grid[0] > 0
 
     def test_sweep_evaluations(self, monkeypatch):
-        # k_star moves by one between most neighbouring outcomes, and the warm
-        # start probes one past the last k_star first
+        # k_star moves by one between most neighbouring outcomes, the warm
+        # start probes one past the last k_star first, and most lower ends are
+        # read off the upper ends' k_star staircase
         family = make_binomial(200).family
         calls = count_evaluations(monkeypatch)
         _sweep(family, range(201), 0.05, DEFAULT_DELTA)
-        assert len(calls) <= 1150
+        assert len(calls) <= 750
 
 
 class TestCsv:

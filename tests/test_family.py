@@ -179,6 +179,11 @@ class TestSpecialParam:
         assert special_param(bin20.family, 5, -1) == -math.inf
         assert special_param(bin20.family, 5, 21) == math.inf
 
+    @pytest.mark.parametrize("k", [21.0, -1.0, 6.0, True, np.float64(21)])
+    def test_non_integer_k_is_no_sentinel(self, bin20, k):
+        with pytest.raises(OutOfSupport):
+            special_param(bin20.family, 5, k)
+
     def test_k_equals_x(self, bin20):
         with pytest.raises(KEqualsX):
             special_param(bin20.family, 5, 5)

@@ -184,6 +184,36 @@ class TestJumpStructure:
         assert jump_limits(bin20, 5, 21) == (math.inf, 0.0, 0.0)
         assert jump_limits(bin20, 5, -1) == (-math.inf, 0.0, 0.0)
 
+    def test_jump_limits_reject_sentinel_lookalikes(self, bin20):
+        # 21.0 == 21 and True == 1 == lo - 1, but neither is an integer outcome
+        with pytest.raises(OutOfSupport):
+            jump_limits(bin20, 5, 21.0)
+        fam = LatticeFamily(LatticeSupport(2, 10), lambda xs: -0.3 * xs * xs)
+        with pytest.raises(OutOfSupport):
+            jump_limits(fam, 5, True)
+
+    @pytest.mark.parametrize("k,shift", [(9, 0.0), (9, 1e-3), (20, 1e-3),
+                                         (2, 0.0), (2, -1e-3), (0, -1e-3)])
+    def test_pvalue_reads_each_special_parameter_once(self, monkeypatch, bin20, k, shift):
+        # off the plateau neither the piece search nor the ``at_jump`` test
+        # reads a theta_{k,x} that the call has read before
+        eta = special_param(bin20.family, 5, k) + shift
+        reads, read = [], exactci.sterne.special_param
+
+        def counted(family, x, j):
+            # theta_{-j,-x} of the reflection is -theta_{j,x}: the same read
+            reads.append((x, j) if family is bin20.family else (-x, -j))
+            return read(family, x, j)
+
+        monkeypatch.setattr("exactci.sterne.special_param", counted)
+        ev = sterne_pvalue(bin20, 5, eta)
+        assert len(reads) == len(set(reads))
+        assert ev.at_jump == (shift == 0.0)
+        assert ev.segment == k + (shift > 0) - (shift < 0)
+        if shift:
+            # at a jump the oracle's tie test f(k) <= f(x) is decided by rounding
+            assert ev.value == pytest.approx(sterne_pvalue_oracle(bin20, 5, eta), rel=1e-12)
+
     def test_jump_limits_at_plateau_edges(self, bin20):
         _, left, right = jump_limits(bin20, 5, 6)
         assert left == 1.0

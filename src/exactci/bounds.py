@@ -17,9 +17,10 @@ evaluating the end again.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
-from .errors import BadAlpha, DivergentSearch, OutOfSupport, UnboundedEnumeration
+from .errors import BadAlpha, BadDelta, DivergentSearch, OutOfSupport, UnboundedEnumeration
 from .family import LatticeFamily, plateau, reflect
 from .models import Model
 
@@ -35,9 +36,17 @@ def _unpack(obj) -> tuple[LatticeFamily, callable]:
 
 
 def _check_alpha(alpha) -> float:
-    if not isinstance(alpha, (int, float)) or not 0.0 < float(alpha) < 1.0:
+    # NumPy real scalars are numbers here; True and False fall outside (0, 1)
+    if not isinstance(alpha, numbers.Real) or not 0.0 < alpha < 1.0:
         raise BadAlpha(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
     return float(alpha)
+
+
+def _check_delta(delta) -> float:
+    # True is no tolerance of 1
+    if isinstance(delta, bool) or not isinstance(delta, numbers.Real) or not 0.0 < delta < math.inf:
+        raise BadDelta(f"delta must be a finite positive number, got {delta!r}")
+    return float(delta)
 
 
 def _check_x(family: LatticeFamily, x) -> int:

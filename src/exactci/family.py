@@ -27,7 +27,9 @@ save a few table reads per evaluation. A family with an unbounded side has no
 table, and each weight it reads is one ``log_weight`` call, so its searches
 start where its last window was found: the mode gallops from the last mode,
 and each cut from the last cut's distance to the mode. Both search
-predicates are monotone, so the window does not depend on the start.
+predicates are monotone, so the window does not depend on the start. A
+reflection, the family of -X, searches nothing: it tabulates its source at
+-theta and reads that window backwards, so its values are the source's.
 
 Tail probabilities are accumulated from the near end (upper tails are summed
 downward, never computed as one minus a cdf), so jump heights of order the
@@ -237,7 +239,8 @@ class LatticeFamily:
     ``log_weight`` must accept a float ndarray of support points and return
     log w_x elementwise. It must be a total function on the support. Every
     summation window is cut by the TAIL_DROP rule alone. Strict
-    log-concavity is checked once, at the first finite theta evaluated.
+    log-concavity is checked once, at the first finite theta evaluated; a
+    reflection is checked as its source, so errors name the source's outcomes.
     """
 
     support: LatticeSupport
@@ -252,28 +255,12 @@ class LatticeFamily:
         # bounded supports keep the full log-weight table around
         return np.asarray(self.log_weight(self.support.points().astype(float)), dtype=float)
 
-    def _check_log_concave(self, theta: float) -> None:
-        # once per family, at its first finite theta; a reflection checks its
-        # source, so that errors name the user's outcomes
-        if "_log_concave" in self.__dict__:
-            return
-        source = self.__dict__.get("_source")
-        if source is None:
-            validate(self, theta)
-        else:
-            source._check_log_concave(-theta)
-        self.__dict__["_log_concave"] = True
-
     @cached_property
     def _reflection(self) -> LatticeFamily:
-        ref = LatticeFamily(
-            support=LatticeSupport(
-                lo=-self.support.hi if self.support.bounded_above else -math.inf,
-                hi=-self.support.lo if self.support.bounded_below else math.inf,
-            ),
-            log_weight=lambda z: self.log_weight(-np.asarray(z)),
-        )
-        # the reflection shares the check, reads the table reversed and reflects back
+        # -inf and +inf swap sides like the integer ends
+        ref = LatticeFamily(LatticeSupport(-self.support.hi, -self.support.lo),
+                            lambda z: self.log_weight(-np.asarray(z)))
+        # the reflection evaluates through its source, reads the table reversed and reflects back
         ref.__dict__.update(_source=self, _reflection=self)
         if self.support.bounded:
             ref.__dict__["_table"] = self._table[::-1]
@@ -371,28 +358,41 @@ class LatticeFamily:
         return a, b, gm
 
     def distribution(self, theta: float) -> Distribution:
-        """Tabulate the family at theta (extended values included)."""
+        """Tabulate the family at theta (extended values included).
+
+        A reflection reads its source's window, summands and normaliser at
+        -theta backwards, so each tail is the source's opposite tail, bit for bit.
+        """
         if isinstance(theta, (int, np.integer)):
             theta = float(theta)
         if not isinstance(theta, float) or math.isnan(theta):
             raise ValueError(f"theta must be a float, got {theta!r}")
+        source = self.__dict__.get("_source")
+        if source is None:
+            return Distribution(self.support, theta, *self._tabulate(theta), self.log_weight)
+        xs, log_norm, g, e, s = source._tabulate(-theta)
+        # e is copied: numpy's dot skips BLAS on a reversed view, doubling the slopes' cost
+        return Distribution(self.support, theta, -xs[::-1], log_norm, g[::-1], e[::-1].copy(), s,
+                            self.log_weight)
+
+    def _tabulate(self, theta: float) -> tuple:
+        """(xs, log_norm, g, e, s) at theta of a family that is no reflection."""
         if math.isinf(theta):
             endpoint = self.support.lo if theta < 0 else self.support.hi
             if not _is_int(endpoint):
                 raise InadmissibleInfiniteTheta(
                     f"theta = {theta} is inadmissible: that support end is unbounded"
                 )
-            xs = np.asarray([int(endpoint)])
-            return Distribution(
-                self.support, theta, xs, 0.0, np.zeros(1), np.ones(1), 1.0, self.log_weight
-            )
-        self._check_log_concave(theta)
+            return np.asarray([int(endpoint)]), 0.0, np.zeros(1), np.ones(1), 1.0
+        if "_log_concave" not in self.__dict__:  # once, at the first finite theta
+            validate(self, theta)
+            self.__dict__["_log_concave"] = True
         a, b, gm = self._window(theta)
         xs = np.arange(a, b + 1)
         g = self._log_weights(a, b) + theta * xs
         e = np.exp(g - gm)
         s = float(e.sum())
-        return Distribution(self.support, theta, xs, gm + math.log(s), g, e, s, self.log_weight)
+        return xs, gm + math.log(s), g, e, s
 
 
 def validate(family: LatticeFamily, theta: float = 0.0) -> None:
@@ -462,7 +462,8 @@ def plateau(family: LatticeFamily, x: int) -> tuple[float, float]:
 def reflect(family: LatticeFamily) -> LatticeFamily:
     """The family of -X; lower-bound searches run upward in the reflection.
 
-    Built once per family and cached: a bounded reflection reads the original's
-    log-weight table reversed, and reflecting it again returns the original.
+    Built once per family and cached. It has no evaluator of its own: it reads
+    the original's distributions and log-weight table backwards, so its tails
+    are the original's bit for bit, and reflecting it again returns the original.
     """
     return family._reflection

@@ -29,11 +29,12 @@ search, ``_first_jump``, finds the first k > x with theta_{k,x} >= eta for
 ``sterne_pvalue`` and for the curve jumps ``_jumps_between`` lists. Lower
 endpoints, the pieces left of the plateau and the jumps below x reuse the
 same searches on the reflected family, whose special parameters are the
-exact negations. Whole-support sweeps (``exact_coverage``, ``length_table``)
-warm-start each outcome's stage one at the previous k_star, and read most
-lower ends off the staircase of k_star, since pi(x, theta_{k,x}) =
-pi(k, theta_{k,x}) (``_sweep``). The returned interval is the closed hull of
-the confidence set, so its coverage is never below the nominal level.
+exact negations and whose tails are the family's, bit for bit. Whole-support
+sweeps (``exact_coverage``, ``length_table``) warm-start each outcome's stage
+one at the previous k_star, and read most lower ends off the staircase of
+k_star, since pi(x, theta_{k,x}) = pi(k, theta_{k,x}) (``_sweep``). The
+returned interval is the closed hull of the confidence set, so its coverage
+is never below the nominal level.
 """
 
 from __future__ import annotations
@@ -43,9 +44,9 @@ import math
 from dataclasses import dataclass, replace
 
 from . import family as _lattice
-from .bounds import (_bisect, _check_alpha, _check_x, _ci, _newton, _solve_decreasing_cdf,
-                     _unpack)
-from .errors import BadDelta, DivergentSearch, OutOfSupport, UnboundedEnumeration
+from .bounds import (_bisect, _check_alpha, _check_delta, _check_x, _ci, _newton,
+                     _solve_decreasing_cdf, _unpack)
+from .errors import DivergentSearch, OutOfSupport, UnboundedEnumeration
 from .family import Distribution, LatticeFamily, _search, reflect, special_param
 
 DEFAULT_DELTA = 1e-8
@@ -85,12 +86,6 @@ class SterneResult:
     achieved: float
     at_jump: bool
     delta: float | None
-
-
-def _check_delta(delta) -> float:
-    if not isinstance(delta, (int, float)) or not math.isfinite(delta) or delta <= 0:
-        raise BadDelta(f"delta must be a finite positive number, got {delta!r}")
-    return float(delta)
 
 
 def _clip(p: float) -> float:
@@ -189,10 +184,10 @@ def stage_one(fam_or_model, x: int, alpha: float) -> int:
 
 
 def _jump_bracket(family: LatticeFamily, x: int, alpha: float, start: int | None = None):
-    """(k_star, d, J(k_star), J(k_star + 1)): ``stage_one`` for a checked x <
-    max(X), with the distribution the search took at theta_{k_star,x} and the
-    jump values it read there and at k_star + 1, each None where it took none
-    (J(x + 1) is 1 on the plateau edge). No other probe's distribution is kept.
+    """(k_star, d, J(k_star + 1)): ``stage_one`` for a checked x < max(X), with
+    the distribution the search took at theta_{k_star,x} and the jump value it
+    read at k_star + 1, each None where it took none. No other probe's
+    distribution is kept.
 
     A warm search bets that k_star moved up by one from ``start``, the previous
     outcome's k_star: it probes s + 1, s = max(start, x + 1), and walks up from
@@ -201,10 +196,10 @@ def _jump_bracket(family: LatticeFamily, x: int, alpha: float, start: int | None
     bracket ends on the cold k; a step of zero or one costs two evaluations.
     """
     hi, cap = family.support.hi, x + _lattice.STEP_CAP
-    lo, up, d_lo, j_lo, j_up, failed = x + 1, hi + 1, None, 1.0, None, {}
+    lo, up, d_lo, j_up, failed = x + 1, hi + 1, None, None, {}
 
     def probe(k: int):
-        nonlocal lo, up, d_lo, j_lo, j_up
+        nonlocal lo, up, d_lo, j_up
         try:
             d = family.distribution(special_param(family, x, k))
             # pi(x, theta_{k,x}), where outcome k is still tied with x
@@ -214,7 +209,7 @@ def _jump_bracket(family: LatticeFamily, x: int, alpha: float, start: int | None
         if j < alpha:
             up, j_up = k, j
         else:
-            lo, d_lo, j_lo = k, d, j
+            lo, d_lo = k, d
         return d, j
 
     def below(k: int) -> bool:
@@ -249,7 +244,7 @@ def _jump_bracket(family: LatticeFamily, x: int, alpha: float, start: int | None
         k = min(p, cap)
     if up in failed:
         raise failed[up]
-    return lo, d_lo, j_lo, j_up
+    return lo, d_lo, j_up
 
 
 def stage_two(fam_or_model, x: int, k: int, alpha: float, delta: float = DEFAULT_DELTA) -> SterneResult:
@@ -279,8 +274,8 @@ def stage_two(fam_or_model, x: int, k: int, alpha: float, delta: float = DEFAULT
 
 def _upper_result(family: LatticeFamily, x: int, alpha: float, delta: float,
                   start: int | None = None, k: int | None = None):
-    """The upper endpoint, by ``stage_two`` in the piece following theta_{k,x},
-    with the distribution at theta_{k,x}, J(k) and J(k + 1), each None where not read.
+    """(result, d): the upper endpoint, by ``stage_two`` in the piece following
+    theta_{k,x}, with the distribution at theta_{k,x} (None at the support maximum).
 
     Without ``k``, stage one finds k_star first, warm-started at ``start`` (the
     k_star of a smaller outcome) when given. Stage two then reads the
@@ -288,10 +283,10 @@ def _upper_result(family: LatticeFamily, x: int, alpha: float, delta: float,
     off stage one's bracket ends instead of evaluating them again.
     """
     if x == family.support.hi:
-        return _endpoint(None, math.inf, math.inf, 1.0, 1.0, delta), None, None, None
-    d = j_lo = p_hi = None
+        return _endpoint(None, math.inf, math.inf, 1.0, 1.0, delta), None
+    d = p_hi = None
     if k is None:
-        k, d, j_lo, p_hi = _jump_bracket(family, x, alpha, start)
+        k, d, p_hi = _jump_bracket(family, x, alpha, start)
 
     def piece(t: float) -> float:
         nonlocal d
@@ -305,17 +300,17 @@ def _upper_result(family: LatticeFamily, x: int, alpha: float, delta: float,
     p_lo = piece(b_lo) if d is None else _two_tails(d, k + 1, x)
     d_lo = d
     if p_lo <= alpha:
-        return _endpoint(k, b_lo, b_lo, p_lo, p_lo, delta, at_jump=True), d_lo, j_lo, p_hi
+        return _endpoint(k, b_lo, b_lo, p_lo, p_lo, delta, at_jump=True), d_lo
     b_hi = special_param(family, x, k + 1)
     if math.isinf(b_hi):
         # pi_k = P(X >= max(X) + 1) + F(x) = F(x): the tail the one-sided solve certified
         b, p_b = _solve_decreasing_cdf(family, x, alpha)
-        return _endpoint(k, b, b, p_b, p_b, delta), d_lo, j_lo, p_hi
+        return _endpoint(k, b, b, p_b, p_b, delta), d_lo
     if p_hi is None:
         # evaluated apart from ``piece``, so that the Newton steps start from b_lo
         p_hi = _two_tails(family.distribution(b_hi), k + 1, x)
     b = _bisect(piece, b_lo, b_hi, p_lo, p_hi, alpha, delta, delta, slope)
-    return _endpoint(k, *b, delta), d_lo, j_lo, p_hi
+    return _endpoint(k, *b, delta), d_lo
 
 
 def _lower_result(family: LatticeFamily, x: int, alpha: float, delta: float) -> SterneResult:
@@ -331,43 +326,31 @@ def _sweep(family: LatticeFamily, xs, alpha: float, delta: float) -> dict[int, t
     stage one warm-started at the previous k*. The lower end of z is the upper
     end of -z on the reflection, whose jump value at -x is J(x; z) = P(X <= x)
     + P(X >= z) at theta_{z,x}: x and z are equally likely there, so they share
-    one "no more probable" set (Sterne 1954), and the upper search of x reads
-    the same value at k = z. J(x; k) falls in k and rises in x, so the
+    one "no more probable" set (Sterne 1954). The reflection evaluates through
+    the family read backwards, so its search reads the very doubles the upper
+    search of x reads at k = z. J(x; k) falls in k and rises in x, so the
     reflected search lands on x* = the smallest x with k*(x) >= z. x* is
-    certified when x* - 1 was swept too (or x* is the support minimum),
-    J(x*; k*(x*)) >= alpha + m and J(x* - 1; k*(x* - 1) + 1) <= alpha - m.
-    Then the lower end is the jump theta_{x*,z} if k*(x*) = z and q = P(X <=
-    x* - 1) + P(X >= z) <= alpha - m at theta_{z,x*}, read off the upper
+    certified when x* < z and x* - 1 was swept too, or x* is the support
+    minimum. Then the lower end is the jump theta_{x*,z} if k*(x*) = z and q =
+    P(X <= x* - 1) + P(X >= z) <= alpha at theta_{z,x*}, read off the upper
     search's distribution there, and else stage two alone finds it. Outcomes
-    not certified (sparse xs, values within m of alpha) run the warm reflected
-    search over descending z.
-
-    The margin m covers the one way the two sides' values at one theta differ:
-    the reflection builds the same summands e and sums each tail in the same
-    order, but sums the normaliser s in reverse (and if at a tie it picks the
-    neighbouring mode, its e carry a common factor and the roundings of one
-    g - g_mode, |g - g_mode| <= TAIL_DROP, and of one exp). Over a window of n
-    points the two values of J or q differ by less than 8 (n + TAIL_DROP + 2) u
-    relative, u = 2^-53, plus n 2^-1074 below the normal range. m = (n +
-    TAIL_DROP) 2^-48 (alpha + 2^-1022), n the support size or window cap, is over twice that.
+    not certified (sparse xs) run the warm reflected search over descending z.
     """
     xs = sorted({_check_x(family, x) for x in xs})
     alpha, delta = _check_alpha(alpha), _check_delta(delta)
-    n = family.support.hi - family.support.lo + 1 if family.support.bounded else _lattice._MAX_WINDOW
-    m = (n + _lattice.TAIL_DROP) * 2.0**-48 * (alpha + 2.0**-1022)
-    his, ups, k = {}, [], None
+    his, ks, qs, k = {}, [], [], None
     for x in xs:
-        r, d, j, j_next = _upper_result(family, x, alpha, delta, k)
+        r, d = _upper_result(family, x, alpha, delta, k)
         his[x], k = r.bound, r.k_star
-        # (k*, J(x; k*), J(x; k* + 1), q at z = k*); the outcome max(X) has no jump
-        ups.append((k, j, j_next, _two_tails(d, k, x - 1)) if d else (math.inf,))
-    ks, mirror, los, k = [u[0] for u in ups], reflect(family), {}, None
+        # k* and q at z = k*; the outcome max(X) has no jump
+        ks.append(k if d else math.inf)
+        qs.append(_two_tails(d, k, x - 1) if d else None)
+    mirror, los, k = reflect(family), {}, None
     for z in reversed(xs):
         i = bisect.bisect_left(ks, z)
         x = xs[i] if i < len(xs) else z
-        certified = x < z and ups[i][1] >= alpha + m and (
-            x == family.support.lo or i > 0 and xs[i - 1] == x - 1 and ups[i - 1][2] <= alpha - m)
-        if certified and ks[i] == z and ups[i][3] <= alpha - m:
+        certified = x < z and (x == family.support.lo or i > 0 and xs[i - 1] == x - 1)
+        if certified and ks[i] == z and qs[i] <= alpha:
             los[z], k = special_param(family, x, z), -x
         else:
             r = _upper_result(mirror, -z, alpha, delta, k, -x if certified else None)[0]

@@ -9,6 +9,7 @@ from scipy.stats import beta, gamma
 
 from exactci import (
     BadAlpha,
+    DivergentSearch,
     LatticeFamily,
     LatticeSupport,
     NotLogConcave,
@@ -26,10 +27,24 @@ from exactci import (
     upper_bound,
 )
 from exactci.bounds import THETA_TOL, _bisect
+from exactci.family import plateau
 from oracles import count_evaluations
 from test_sterne import harmonic_family, negative_binomial
 
 ALPHAS = (0.025, 0.05, 0.2)
+
+
+def floored(family, floor, fail):
+    """A custom family with the weights of ``family`` that, below theta = floor,
+    raises UnboundedEnumeration (``fail``) or gives the distribution at the floor."""
+
+    class Floored(LatticeFamily):
+        def distribution(self, theta):
+            if fail and theta < floor:
+                raise UnboundedEnumeration(f"theta = {theta} is below the floor")
+            return super().distribution(max(theta, floor))
+
+    return Floored(family.support, family.log_weight)
 
 
 class TestQuantileOracles:
@@ -104,10 +119,16 @@ class TestBoundEdges:
         with pytest.raises(OutOfSupport):
             upper_bound(bin20, 21, 0.05)
 
-    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.3, 2.0, float("nan"), "0.05"])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.3, 2.0, float("nan"), "0.05", None, True,
+                                       False, np.bool_(True), np.float32(1.5)])
     def test_bad_alpha(self, bin20, alpha):
         with pytest.raises(BadAlpha):
             upper_bound(bin20, 5, alpha)
+
+    @pytest.mark.parametrize("alpha", [np.float32(0.05), np.float16(0.25), np.float64(0.05)])
+    def test_numpy_alpha_accepted(self, bin20, alpha):
+        assert clopper_pearson(bin20, 5, alpha) == clopper_pearson(bin20, 5, float(alpha))
+        assert lower_bound(bin20, 5, alpha) == lower_bound(bin20, 5, float(alpha))
 
 
 class TestMonotonicity:
@@ -332,6 +353,27 @@ class TestCdfSolverBrackets:
         tail = math.exp(logsumexp(log_terms[1:]) - logsumexp(log_terms))  # P(X >= 1)
         assert tail <= 0.9
         assert tail == pytest.approx(0.9, rel=1e-6)
+
+    def test_growth_probes_failing_down_to_no_step_raise(self, bin20):
+        # F(5) reaches 0.99 only below the plateau of 5, but every evaluation
+        # below the floor fails and F is 0.914 there: the growth probes halve
+        # back onto the floor until no step is left, and raise the failure
+        floor = plateau(bin20.family, 5)[0] - 0.5
+        with pytest.raises(UnboundedEnumeration, match="below the floor"):
+            upper_bound(floored(bin20.family, floor, fail=True), 5, 0.99)
+
+    def test_growth_without_a_bracket_raises(self, bin20):
+        # below the floor the distribution stops changing, so F(5) stays at
+        # 0.914 < 0.99 however far the bracket grows
+        floor = plateau(bin20.family, 5)[0] - 0.5
+        with pytest.raises(DivergentSearch, match="no bracket"):
+            upper_bound(floored(bin20.family, floor, fail=False), 5, 0.99)
+
+    def test_failed_plateau_evaluation_raises(self):
+        # the plateau of x = 3e6 of the harmonic family lies where the window
+        # from 0 holds more points than the window cap
+        with pytest.raises(UnboundedEnumeration, match="too large"):
+            upper_bound(harmonic_family(), 3_000_000, 0.05)
 
     def test_negative_binomial_crossing_past_the_window_cap(self, negbin):
         # at alpha = 1e-15 the upper end lies where every window passes the

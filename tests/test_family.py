@@ -24,6 +24,7 @@ from exactci import (
 )
 from exactci.family import TAIL_DROP, cdf, log_pmf, plateau, reflect
 from oracles import ladder, truncated_geometric_variance
+from test_sterne import harmonic_family
 
 
 def table_family(weights, lo=0):
@@ -237,6 +238,16 @@ class TestPlateau:
         assert hi == pytest.approx(math.log(1 / 20), abs=1e-12)  # logit(1/21)
 
 
+# name: (family, outcomes); evaluated at each outcome's mode tie and past it
+REFLECTED = {
+    "binomial 20": lambda: (make_binomial(20).family, (0, 1, 5, 12, 18)),
+    "binomial 1000": lambda: (make_binomial(1000).family, (0, 3, 300, 500, 990)),
+    "oddsratio 49/317/245": lambda: (make_odds_ratio(49, 317, 245).family, (0, 1, 20, 42)),
+    "poisson": lambda: (make_poisson().family, (0, 3, 40, 5000)),
+    "harmonic": lambda: (harmonic_family(), (0, 1, 3, 50)),
+}
+
+
 class TestReflect:
     def test_special_params_negate(self, bin20):
         fam = bin20.family
@@ -264,6 +275,59 @@ class TestReflect:
         assert reflect(ref) is fam
         assert np.shares_memory(ref._table, fam._table)
         np.testing.assert_array_equal(ref._table, fam._table[::-1])
+
+    @pytest.mark.parametrize("name", sorted(REFLECTED))
+    def test_reflection_reads_the_family_backwards(self, name):
+        # the same doubles, not merely close ones: each tail of the reflection
+        # is the family's opposite tail, summed in the same order
+        fam, xs = REFLECTED[name]()
+        ref = reflect(fam)
+        thetas = [special_param(fam, x, x + 1) for x in xs]  # mode ties
+        thetas += [special_param(fam, x, x + 7) for x in xs if x + 7 in fam.support]
+        thetas += [-math.inf, math.inf]
+        for t in thetas:
+            try:
+                d = fam.distribution(t)
+            except InadmissibleInfiniteTheta:
+                with pytest.raises(InadmissibleInfiniteTheta):
+                    ref.distribution(-t)
+                continue
+            r = ref.distribution(-t)
+            assert (r.theta, r.s, r.log_norm) == (-t, d.s, d.log_norm)
+            np.testing.assert_array_equal(r.xs, -d.xs[::-1])
+            np.testing.assert_array_equal(r.pmf_values, d.pmf_values[::-1])
+            for y in list(xs) + [int(d.xs[0]) - 1, int(d.xs[0]), int(d.xs[-1]), int(d.xs[-1]) + 1]:
+                assert r.cdf(-y) == d.sf(y) and r.sf(-y) == d.cdf(y)
+                if y in fam.support:
+                    assert r.pmf(-y) == d.pmf(y)
+
+    def test_reflected_evaluation_is_one_call_on_the_family(self, monkeypatch):
+        # the reflection runs no window search of its own and calls the public
+        # evaluator once, so evaluation counts do not double
+        fam = make_poisson().family
+        ref = reflect(fam)
+        calls, depth, windows = [], [0], []
+        evaluate, window = LatticeFamily.distribution, LatticeFamily._window
+
+        def counted(self, theta):
+            calls.append(self)
+            depth[0] += 1
+            assert depth[0] == 1
+            try:
+                return evaluate(self, theta)
+            finally:
+                depth[0] -= 1
+
+        def searched(self, theta):
+            windows.append(self)
+            return window(self, theta)
+
+        monkeypatch.setattr(LatticeFamily, "distribution", counted)
+        monkeypatch.setattr(LatticeFamily, "_window", searched)
+        ref.distribution(-math.log(40.0))
+        assert calls == [ref] and windows and all(w is fam for w in windows)
+        # the family and its reflection share one warm start
+        assert "_hint" in fam.__dict__ and "_hint" not in ref.__dict__
 
 
 def brute_variance(delta, m):

@@ -390,10 +390,20 @@ class TestStageTwo:
         with pytest.raises(ValueError):
             stage_two(bin20, 5, 5, ALPHA)
 
-    @pytest.mark.parametrize("delta", [0.0, -1e-9, math.inf, "tight"])
+    # True is no tolerance of 1.0
+    @pytest.mark.parametrize("delta", [0.0, -1e-9, math.inf, "tight", math.nan, None, True,
+                                       np.bool_(True)])
     def test_bad_delta(self, bin20, delta):
         with pytest.raises(BadDelta):
             stage_two(bin20, 5, 9, ALPHA, delta=delta)
+        with pytest.raises(BadDelta):
+            sterne_interval(bin20, 5, ALPHA, delta=delta)
+
+    def test_numpy_scalars_accepted(self, bin20):
+        alpha, delta = np.float32(0.05), np.float32(1e-6)
+        want = sterne_interval(bin20, 5, float(alpha), delta=float(delta))
+        assert sterne_interval(bin20, 5, alpha, delta=delta) == want
+        assert sterne_upper(bin20, 5, np.float16(0.25), np.int64(1)) == sterne_upper(bin20, 5, 0.25, 1.0)
 
 
 class TestEndpoints:
@@ -553,6 +563,16 @@ class TestDegenerateSearches:
         fam = harmonic_family()
         with pytest.raises(DivergentSearch):
             stage_one(fam, 3, 1e-4)
+
+    def test_stage_one_stops_at_the_step_cap(self, monkeypatch, bin12):
+        # the jump values of x = 2 stay at or above 1e-12 up to k = 12, past
+        # the capped probe at x + 8 = 10, which ends the search; the window
+        # searches of binomial 12 take no step above 8, so none of them raises
+        monkeypatch.setattr(exactci.family, "STEP_CAP", 8)
+        calls = count_evaluations(monkeypatch)
+        with pytest.raises(DivergentSearch, match="from x = 2 did not end"):
+            stage_one(bin12, 2, 1e-12)
+        assert max(calls) == special_param(bin12.family, 2, 10)
 
     def test_reduced_step_cap_keeps_a_crossing_below_it(self, monkeypatch):
         # at alpha = 0.1 the jump values of x = 3 cross at k = 168, far below

@@ -23,13 +23,15 @@ is one bisection of the table indices and each cut a gallop out from it. No
 other per-point array is cached. The shipped bounded models' tables are most
 of a large model's memory, and a second array, such as the negated
 differences a ``np.searchsorted`` for the mode would need, would double it to
-save a few table reads per evaluation. A family with an unbounded side has no
-table, and each weight it reads is one ``log_weight`` call, so its searches
-start where its last window was found: the mode gallops from the last mode,
-and each cut from the last cut's distance to the mode. Both search
-predicates are monotone, so the window does not depend on the start. A
-reflection, the family of -X, searches nothing: it tabulates its source at
--theta and reads that window backwards, so its values are the source's.
+save a few table reads per evaluation. A family with an unbounded side keeps
+a span of log weights instead: its last window and half that window's width
+past each end, within the support, replaced when a window falls outside it,
+so never more than twice one window; a weight off it costs a ``log_weight``
+call. Its searches start where its last window was found: the mode gallops
+from the last mode, and each cut from the last cut's distance to the mode.
+Both search predicates are monotone, so the window does not depend on the
+start. A reflection, the family of -X, searches nothing: it tabulates its
+source at -theta and reads that window, and its weights, backwards.
 
 Tail probabilities are accumulated from the near end (upper tails are summed
 downward, never computed as one minus a cdf), so jump heights of order the
@@ -237,9 +239,11 @@ class LatticeFamily:
     """Weights w_x > 0 on a lattice support, given as ``log_weight``.
 
     ``log_weight`` must accept a float ndarray of support points and return
-    log w_x elementwise. It must be a total function on the support. Every
-    summation window is cut by the TAIL_DROP rule alone. Strict
-    log-concavity is checked once, at the first finite theta evaluated; a
+    log w_x elementwise: its double at x may not depend on the other points in
+    the call, as weights are read off calls over whole tables and spans. It must
+    be a total function on the support. Every summation window is cut by the
+    TAIL_DROP rule alone. Strict log-concavity is checked once, on the weights
+    the first finite theta reads (a bounded support's whole table); a
     reflection is checked as its source, so errors name the source's outcomes.
     """
 
@@ -267,15 +271,23 @@ class LatticeFamily:
         return ref
 
     def _log_weights(self, a: int, b: int) -> np.ndarray:
-        """log w_x for x = a..b, read off the table of a bounded support."""
+        """log w_x for x = a..b: the table's, the span's if it covers them, else one call."""
         if self.support.bounded:
             lo = int(self.support.lo)
             return self._table[a - lo : b - lo + 1]
+        first, span = self.__dict__.get("_span", (0, ()))
+        if first <= a and b < first + len(span):
+            return span[a - first : b - first + 1]
         return np.asarray(self.log_weight(np.arange(a, b + 1, dtype=float)), dtype=float)
 
     def _logw(self, x: int) -> float:
         if self.support.bounded:
             return self._table.item(int(x) - int(self.support.lo))
+        if "_source" in self.__dict__:
+            return self._source._logw(-x)
+        first, span = self.__dict__.get("_span", (0, ()))
+        if 0 <= x - first < len(span):
+            return span.item(x - first)
         return float(self.log_weight(np.asarray([x], dtype=float))[0])
 
     def _score(self, x: int, theta: float) -> float:
@@ -304,7 +316,7 @@ class LatticeFamily:
         def rising(x: int) -> bool:
             if x >= hi:
                 return False
-            seen[x], seen[x + 1] = map(float, self.log_weight(np.asarray([x, x + 1], dtype=float)))
+            seen[x], seen[x + 1] = self._log_weights(x, x + 1).tolist()
             return seen[x + 1] - seen[x] + theta > 0.0
 
         hint = self.__dict__.get("_hint")
@@ -384,12 +396,20 @@ class LatticeFamily:
                     f"theta = {theta} is inadmissible: that support end is unbounded"
                 )
             return np.asarray([int(endpoint)]), 0.0, np.zeros(1), np.ones(1), 1.0
-        if "_log_concave" not in self.__dict__:  # once, at the first finite theta
-            validate(self, theta)
-            self.__dict__["_log_concave"] = True
         a, b, gm = self._window(theta)
+        first, span = self.__dict__.get("_span", (0, ()))
+        if not (self.support.bounded or first <= a and b < first + len(span)):
+            # replaced, never grown: the window and half its width past each end, in the support
+            reach = (b - a + 1) // 2
+            first, last = max(a - reach, self.support.lo), min(b + reach, self.support.hi)
+            self.__dict__["_span"] = (first, self._log_weights(first, last))
+        logw = self._log_weights(a, b)
+        if "_log_concave" not in self.__dict__:  # once, at the first finite theta
+            start, read = (int(self.support.lo), self._table) if self.support.bounded else (a, logw)
+            _check_log_concave(start, read)
+            self.__dict__["_log_concave"] = True
         xs = np.arange(a, b + 1)
-        g = self._log_weights(a, b) + theta * xs
+        g = logw + theta * xs
         e = np.exp(g - gm)
         s = float(e.sum())
         return xs, gm + math.log(s), g, e, s
@@ -402,13 +422,16 @@ def validate(family: LatticeFamily, theta: float = 0.0) -> None:
     only the summation window at ``theta``, which must be admissible (tail
     behaviour is the constructor's responsibility). Raises
     :class:`NotLogConcave` carrying the first violating interior index. Every
-    family runs this check once, at the first finite theta it evaluates.
+    family runs the same check once, on the weights its first finite theta reads.
     """
     if family.support.bounded:
-        first, last = int(family.support.lo), int(family.support.hi)
-    else:
-        first, last, _ = family._window(theta)
-    logw = family._log_weights(first, last)
+        return _check_log_concave(int(family.support.lo), family._table)
+    first, last, _ = family._window(theta)
+    _check_log_concave(first, family._log_weights(first, last))
+
+
+def _check_log_concave(first: int, logw: np.ndarray) -> None:
+    """Raise NotLogConcave at the first bad point of log w_first, log w_first+1, ..."""
     bad = np.nonzero(~np.isfinite(logw))[0]
     if bad.size:
         raise NotLogConcave(first + int(bad[0]))

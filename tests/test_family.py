@@ -24,7 +24,8 @@ from exactci import (
 )
 from exactci.family import TAIL_DROP, cdf, log_pmf, plateau, reflect
 from oracles import ladder, truncated_geometric_variance
-from test_sterne import harmonic_family
+from test_output_digest import digest
+from test_sterne import harmonic_family, negative_binomial
 
 
 def table_family(weights, lo=0):
@@ -91,6 +92,21 @@ class TestValidate:
         with pytest.raises(NotLogConcave) as info:
             fam.distribution(0.0)
         assert info.value.x == 1
+
+    def test_first_evaluation_checks_the_weights_it_reads(self, monkeypatch):
+        # the check reads the evaluation's own window: it names the point
+        # validate names, and the evaluation runs one window search
+        wavy = lambda: LatticeFamily(LatticeSupport(0, math.inf), lambda xs: -xs + 0.5 * np.sin(xs))
+        with pytest.raises(NotLogConcave) as checked:
+            validate(wavy(), 0.5)
+        with pytest.raises(NotLogConcave) as evaluated:
+            wavy().distribution(0.5)
+        assert evaluated.value.x == checked.value.x
+        searches, window = [], LatticeFamily._window
+        monkeypatch.setattr(LatticeFamily, "_window",
+                            lambda self, theta: searches.append(theta) or window(self, theta))
+        make_poisson().family.distribution(0.5)
+        assert searches == [0.5]
 
     def test_reflection_reports_the_user_outcome(self):
         fam = LatticeFamily(LatticeSupport(0, 30), lambda xs: 0.05 * xs * xs)
@@ -587,7 +603,7 @@ class TestPoissonWindow:
 
 
 class TestPoissonWeightReads:
-    """An unbounded family reads each mode probe's two weights in one call."""
+    """An unbounded family reads its weights from the span around its last window."""
 
     def test_warm_evaluation_reads(self):
         source = make_poisson().family
@@ -601,10 +617,71 @@ class TestPoissonWeightReads:
         fam.distribution(math.log(30.0))
         calls.clear()
         d = fam.distribution(math.log(33.0))
-        # mode probes are two-point reads, the tail cuts one-point reads and
-        # the last call reads the whole window
-        assert calls[-1] == len(d.xs)
-        assert (calls.count(2), calls.count(1), len(calls)) == (5, 13, 19)
+        # the window lies inside the span the last evaluation kept
+        assert calls == []
         cold = make_poisson().family.distribution(math.log(33.0))
         assert d.xs.tolist() == cold.xs.tolist()
         assert d.g.tolist() == cold.g.tolist() and d.log_norm == cold.log_norm
+        # a window off the span: the searches read single weights and probe
+        # pairs, and one last call reads the new span
+        far = fam.distribution(math.log(3000.0))
+        first, span = fam.__dict__["_span"]
+        assert [n for n in calls if n > 2] == [len(span)] == calls[-1:]
+        a, b = int(far.xs[0]), int(far.xs[-1])
+        reach = (b - a + 1) // 2
+        assert (first, first + len(span) - 1) == (max(a - reach, 0), b + reach)
+
+
+SPAN_FAMILIES = {
+    # maker, admissible theta range of the walk
+    "poisson": (lambda: make_poisson().family, (-5.0, math.log(1e6))),
+    "negative binomial r=3": (negative_binomial, (-5.0, -0.01)),
+    "harmonic": (harmonic_family, (-5.0, 0.99)),
+    "two-sided": (digest._two_sided, (-60.0, 60.0)),
+}
+
+
+class TestLogWeightSpan:
+    """Walking theta over an unbounded family, and over its reflection, reads
+    the same doubles as a fresh family, from a span at most twice the window
+    that placed it."""
+
+    @given(name=st.sampled_from(sorted(SPAN_FAMILIES)), reflected=st.booleans(),
+           steps=st.lists(st.tuples(st.booleans(), st.floats(0.0, 1.0)), min_size=1, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_theta_walk_reads_the_fresh_family(self, name, reflected, steps):
+        maker, (lo, hi) = SPAN_FAMILIES[name]
+
+        def checked():
+            # the log-concavity check runs at the first theta a family evaluates
+            # (on long windows rounding can fail it); run it at the short window
+            # of theta = lo, then forget the warm start and the span it left
+            family = maker()
+            family.distribution(lo)
+            del family.__dict__["_hint"], family.__dict__["_span"]
+            return family
+
+        family = checked()
+        walk = reflect(family) if reflected else family
+        sign = -1.0 if reflected else 1.0
+        theta, span, placed = lo + 0.5 * (hi - lo), None, 0
+        for far, u in steps:
+            # a far jump lands anywhere in the range, a near step moves 1 % of it
+            theta = lo + u * (hi - lo) if far else min(max(theta + (u - 0.5) * 0.02 * (hi - lo), lo), hi)
+            fresh = reflect(checked()) if reflected else checked()
+            d = walk.distribution(sign * theta)
+            xs = d.xs.tolist()
+            x = xs[len(xs) // 2]
+            ks = [k for k in (xs[0], xs[-1], x + 1, x - 3 * len(xs), x + 3 * len(xs))
+                  if k != x and k in walk.support]
+            # the fresh family reads every weight through log_weight
+            assert [special_param(walk, x, k) for k in ks] == [special_param(fresh, x, k) for k in ks]
+            cold = fresh.distribution(sign * theta)
+            assert xs == cold.xs.tolist() and d.g.tolist() == cold.g.tolist()
+            assert d.e.tolist() == cold.e.tolist() and (d.s, d.log_norm) == (cold.s, cold.log_norm)
+            first, logw = family.__dict__["_span"]
+            a, b = (-xs[-1], -xs[0]) if reflected else (xs[0], xs[-1])
+            if logw is not span:  # placed by this window
+                span, placed = logw, b - a + 1
+            assert first <= a and b < first + len(span) and len(span) <= 2 * placed
+            assert first in family.support and first + len(span) - 1 in family.support

@@ -7,6 +7,10 @@ tests see exactly what a shell user would see, exit status included.
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -330,3 +334,19 @@ class TestParserReuse:
             run(["binomial", "--n", "20"])
         assert exc.value.code == 2
         assert run_cli(*self.REQUESTS[1])[0] == 0
+
+
+def test_requests_do_not_import_scipy():
+    # numpy alone computes the shipped models' weights
+    script = "\n".join([
+        "import io, sys",
+        "from exactci.cli import run",
+        "for argv in (['binomial', '--n', '20', '--x', '5', '--method', 'all'],",
+        "             ['poisson', '--x', '3'],",
+        "             ['oddsratio', '--y1', '42', '--n1', '49', '--y2', '203', '--n2', '317']):",
+        "    assert run(argv, out=io.StringIO()) == 0, argv",
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)",
+    ])
+    src = str(pathlib.Path(exactci.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", script], env=env, check=True)

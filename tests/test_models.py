@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,8 +15,10 @@ from exactci import (
     make_odds_ratio,
     make_poisson,
     point_estimate,
+    sterne_interval,
 )
-from exactci.family import plateau
+from exactci.family import plateau, special_param
+from exactci.models import _CHUNK, _POINTWISE, _TABLE_SIZE, _lf, _log_factorial
 
 
 class TestMakeBinomial:
@@ -195,3 +198,85 @@ class TestPointEstimate:
             assert lo == pytest.approx(math.log(x), abs=1e-10)
             est = math.log(float(point_estimate(pois, x)))
             assert lo - 1e-12 <= est <= hi + 1e-12
+
+
+class TestLogFactorial:
+    """The numpy log k! kernel every shipped weight is built on."""
+
+    # both sides of the end of the exact entries, of the table and of each chunk
+    EDGES = (170, 171, _TABLE_SIZE - 1, _TABLE_SIZE) + tuple(
+        j * _CHUNK + d for j in range(1, 7) for d in (-1, 0))
+
+    @pytest.fixture(scope="class")
+    def sample(self):
+        # every k < 1e5, read in one call, then a geometric sample up to 1e9
+        geo = np.unique(np.round(np.geomspace(1e5, 1e9, 400)))
+        with mpmath.workdps(40):
+            exact, total = [mpmath.mpf(0)], mpmath.mpf(0)
+            for k in range(1, 100_000):
+                total += mpmath.log(k)
+                exact.append(total)
+            exact += [mpmath.loggamma(k + 1) for k in geo.tolist()]
+        return np.concatenate([np.arange(100_000.0), geo]), exact
+
+    def test_within_three_ulps_of_mpmath(self, sample):
+        ks, exact = sample
+        assert set(self.EDGES) <= set(ks.tolist())
+        got = _log_factorial(ks)
+        assert got[0] == got[1] == 0.0
+        ulps = [abs(mpmath.mpf(g) - e) / math.ulp(float(e))
+                for g, e in zip(got[2:].tolist(), exact[2:])]
+        # measured 2.81 ulps at k = 4211, where scipy's gammaln(k + 1) returns
+        # the same double; 2.81 is also scipy's bound on this sample
+        assert max(ulps) < 3.0
+
+    @pytest.mark.parametrize("make, xs", [
+        (lambda: make_binomial(100_000), np.arange(100_001.0)),
+        (make_poisson, np.concatenate([np.arange(100_000.0),
+                                       np.round(np.geomspace(1e5, 1e9, 200))])),
+        # n1 - x, s - x and n2 - s + x cross the table edge too
+        (lambda: make_odds_ratio(70_000, 70_000, 70_000), np.arange(70_001.0)),
+    ])
+    def test_one_call_equals_its_pieces(self, make, xs):
+        # the double for x may not depend on the other points in the call:
+        # one call over xs equals calls of 1, 2, _POINTWISE and _POINTWISE + 1
+        # points, bit for bit, around every edge and on a stride through xs
+        log_weight = make().family.log_weight
+        whole = log_weight(xs)
+        near = {e + d for e in self.EDGES for d in range(-20, 4)}
+        starts = sorted(i for i in near | set(range(0, len(xs), 97)) if 0 <= i < len(xs))
+        for size in (1, 2, _POINTWISE, _POINTWISE + 1):
+            for i in starts:
+                piece = log_weight(xs[i : i + size])
+                assert piece.tobytes() == whole[i : i + size].tobytes(), (size, xs[i])
+
+    def test_point_reads_past_the_table(self):
+        # a point read computes the series in Python floats around one np.log of a
+        # float: every k from the table edge to 1e6 reads the double of the chunked call
+        ks = np.arange(float(_TABLE_SIZE), 1e6)
+        points = np.array([_lf(k) for k in ks.tolist()])
+        assert points.tobytes() == _log_factorial(ks).tobytes()
+
+    def test_scalar_and_shaped_calls(self):
+        assert _log_factorial(5.0).shape == ()
+        assert _log_factorial(np.asarray(5.0)) == np.log(120.0)
+        grid = np.arange(40.0).reshape(5, 8)
+        assert _log_factorial(grid).tobytes() == _log_factorial(grid.ravel()).tobytes()
+
+
+class TestSymmetricWeights:
+    """Weights summed in a symmetric order meet at theta exactly 0."""
+
+    @pytest.mark.parametrize("n", [20, 21, 100, 1000, 10_000])
+    def test_binomial(self, n):
+        fam = make_binomial(n).family
+        assert fam._table.tobytes() == fam._table[::-1].tobytes()
+        assert all(special_param(fam, x, n - x) == 0.0 for x in range(n + 1) if 2 * x != n)
+
+    def test_odds_ratio(self, or_small):
+        assert all(special_param(or_small.family, x, 6 - x) == 0.0 for x in range(7) if x != 3)
+
+    def test_interval_end_at_the_symmetric_jump(self):
+        # the exact lower end of x = 16 is theta_{4,16} = 0, p = 1/2
+        ci = sterne_interval(make_binomial(20), 16, 0.01)
+        assert ci.theta_lo == 0.0 and ci.natural_lo == 0.5

@@ -361,9 +361,15 @@ class TestStageTwo:
         assert coarse.bracket[1] - coarse.bracket[0] <= 1e-4
 
     def test_delta_below_float_spacing(self, bin20):
-        # the bracket runs out of floats before it is 1e-17 wide
-        tiny = sterne_interval(bin20, 10, ALPHA, delta=1e-17)
-        assert tiny.theta_hi == sterne_interval(bin20, 10, ALPHA, delta=1e-15).theta_hi
+        # the bracket runs out of floats before it is 1e-17 wide: it ends as two
+        # adjacent floats, inside the wider 1e-15 bracket, on the conservative side
+        k = stage_one(bin20, 10, ALPHA)
+        tiny = stage_two(bin20, 10, k, ALPHA, delta=1e-17)
+        wide = stage_two(bin20, 10, k, ALPHA, delta=1e-15)
+        assert math.nextafter(tiny.bracket[0], math.inf) == tiny.bracket[1] == tiny.bound
+        assert wide.bracket[0] <= tiny.bracket[0] < tiny.bound <= wide.bracket[1]
+        assert tiny.achieved <= ALPHA
+        assert sterne_interval(bin20, 10, ALPHA, delta=1e-17).theta_hi == tiny.bound
 
     def test_past_last_jump_is_the_one_sided_bound(self, bin20):
         # at k = max(X) only F(x) remains; its root is the one-sided bound

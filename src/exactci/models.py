@@ -6,7 +6,7 @@ familiar natural scale (success probability, mean, odds ratio). The interval
 routines accept either a Model or a bare family.
 
 Every shipped weight is a ratio of factorials, read from one numpy kernel,
-``_log_factorial``. log k! for k < 2^16 comes from a table: the log of k!
+``_lf``. log k! for k < 2^16 comes from a table: the log of k!
 rounded to a double for k <= 170, Stirling's series beyond. Larger k use that
 series directly. With x = k + 1 it is
 
@@ -18,11 +18,12 @@ lgam for x >= 1000, which scipy's gammaln runs, so from there on the kernel
 returns scipy's double wherever numpy's log returns the C library's. Against
 mpmath at 40 digits the kernel is within 2.81 ulps of log k! for every
 k < 1e5 and on a geometric sample up to 1e9, the bound scipy's gammaln(k + 1)
-reaches on the same sample. Large calls are computed in chunks of 2^14
-points, so temporaries stay cache-sized, and calls of a few points one point
-at a time in Python floats, which round each operation as numpy does. Either
-way the double returned for k does not depend on the other points in the
-call, as ``LatticeFamily`` requires.
+reaches on the same sample. Calls of one or two points, the window-edge
+and probe reads that make up most calls, are computed in Python floats, which
+round each operation as numpy does; every other call runs in chunks of 2^14
+points, so temporaries stay cache-sized. Either way the double returned for
+k does not depend on the other points in the call, as ``LatticeFamily``
+requires.
 """
 
 from __future__ import annotations
@@ -86,10 +87,10 @@ def _log(v: float) -> float:
 
 # log k! is tabulated for k below this; the table takes 512 KB
 _TABLE_SIZE = 1 << 16
-# calls are computed in chunks of _CHUNK points, and calls of at most
-# _POINTWISE points one point at a time
+# calls of at most _POINTWISE points are computed one point at a time, and
+# all others in chunks of _CHUNK points
+_POINTWISE = 2
 _CHUNK = 1 << 14
-_POINTWISE = 16
 # log(2 pi) / 2 rounded once; 0.5 * math.log(2.0 * math.pi) is one ulp off
 _HALF_LOG_2PI = 0.91893853320467274178
 
@@ -129,18 +130,13 @@ def _elementwise(f):
         flat = x.ravel()
         if flat.size <= _POINTWISE:
             out = np.array([f(v) for v in flat.tolist()])
-        elif flat.size <= _CHUNK:
-            out = f(flat)
         else:
             out = np.empty(flat.size)
             for i in range(0, flat.size, _CHUNK):
                 out[i : i + _CHUNK] = f(flat[i : i + _CHUNK])
-        return out if x.ndim == 1 else out.reshape(x.shape)
+        return out.reshape(x.shape)
 
     return log_weight
-
-
-_log_factorial = _elementwise(_lf)
 
 
 def make_binomial(n: int) -> Model:

@@ -18,7 +18,10 @@ from exactci import (
     sterne_interval,
 )
 from exactci.family import plateau, special_param
-from exactci.models import _CHUNK, _POINTWISE, _TABLE_SIZE, _lf, _log_factorial
+from exactci.models import _CHUNK, _POINTWISE, _TABLE_SIZE, _elementwise, _lf
+
+# log k! read through the same call paths as the shipped weights
+log_factorial = _elementwise(_lf)
 
 
 class TestMakeBinomial:
@@ -222,7 +225,7 @@ class TestLogFactorial:
     def test_within_three_ulps_of_mpmath(self, sample):
         ks, exact = sample
         assert set(self.EDGES) <= set(ks.tolist())
-        got = _log_factorial(ks)
+        got = log_factorial(ks)
         assert got[0] == got[1] == 0.0
         ulps = [abs(mpmath.mpf(g) - e) / math.ulp(float(e))
                 for g, e in zip(got[2:].tolist(), exact[2:])]
@@ -239,13 +242,13 @@ class TestLogFactorial:
     ])
     def test_one_call_equals_its_pieces(self, make, xs):
         # the double for x may not depend on the other points in the call:
-        # one call over xs equals calls of 1, 2, _POINTWISE and _POINTWISE + 1
+        # one call over xs equals calls of 1, _POINTWISE, _POINTWISE + 1 and 17
         # points, bit for bit, around every edge and on a stride through xs
         log_weight = make().family.log_weight
         whole = log_weight(xs)
         near = {e + d for e in self.EDGES for d in range(-20, 4)}
         starts = sorted(i for i in near | set(range(0, len(xs), 97)) if 0 <= i < len(xs))
-        for size in (1, 2, _POINTWISE, _POINTWISE + 1):
+        for size in (1, _POINTWISE, _POINTWISE + 1, 17):
             for i in starts:
                 piece = log_weight(xs[i : i + size])
                 assert piece.tobytes() == whole[i : i + size].tobytes(), (size, xs[i])
@@ -255,13 +258,13 @@ class TestLogFactorial:
         # float: every k from the table edge to 1e6 reads the double of the chunked call
         ks = np.arange(float(_TABLE_SIZE), 1e6)
         points = np.array([_lf(k) for k in ks.tolist()])
-        assert points.tobytes() == _log_factorial(ks).tobytes()
+        assert points.tobytes() == log_factorial(ks).tobytes()
 
     def test_scalar_and_shaped_calls(self):
-        assert _log_factorial(5.0).shape == ()
-        assert _log_factorial(np.asarray(5.0)) == np.log(120.0)
+        assert log_factorial(5.0).shape == ()
+        assert log_factorial(np.asarray(5.0)) == np.log(120.0)
         grid = np.arange(40.0).reshape(5, 8)
-        assert _log_factorial(grid).tobytes() == _log_factorial(grid.ravel()).tobytes()
+        assert log_factorial(grid).tobytes() == log_factorial(grid.ravel()).tobytes()
 
 
 class TestSymmetricWeights:

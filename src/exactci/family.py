@@ -17,21 +17,20 @@ only over a summation window: the points whose log summand lies within
 ``TAIL_DROP`` natural-log units of the mode's, plus the first point past that
 on each side that has one. The same rule cuts finite and infinite sides.
 Every point off the window has a pmf that rounds to exactly 0.0 in double
-precision, so no pmf, cdf or sf value depends on the cut. On a bounded
-support the window is read straight off the cached log-weight table: the mode
-is one bisection of the table indices and each cut a gallop out from it. No
-other per-point array is cached. The shipped bounded models' tables are most
-of a large model's memory, and a second array, such as the negated
-differences a ``np.searchsorted`` for the mode would need, would double it to
-save a few table reads per evaluation. A family with an unbounded side keeps
-a span of log weights instead: its last window and half that window's width
-past each end, within the support, replaced when a window falls outside it,
-so never more than twice one window; a weight off it costs a ``log_weight``
-call. Its searches start where its last window was found: the mode gallops
-from the last mode, and each cut from the last cut's distance to the mode.
-Both search predicates are monotone, so the window does not depend on the
-start. A reflection, the family of -X, searches nothing: it tabulates its
-source at -theta and reads that window, and its weights, backwards.
+precision, so no pmf, cdf or sf value depends on the cut. Every family reads
+its weights from one store, a span of log weights. On a bounded support it is
+the whole table, read once, so every window lies inside it; the tables are
+most of a large model's memory, so no other per-point array is cached. On an
+unbounded side it is the last window and half that window's width past each
+end, within the support, replaced when a window falls outside it, so never
+more than twice one window. A weight off the span costs a ``log_weight``
+call. Every window search starts where the last window was found: the mode
+gallops from the last mode, and each cut from the last cut's distance to the
+mode. Both search predicates are monotone on strictly log-concave weights,
+which the first evaluation checks in floats (on a bounded support, the whole
+table), so the window does not depend on the start. A reflection, the family
+of -X, keeps no weights and searches nothing: it tabulates its source at
+-theta and reads that window backwards, and its weights through its source.
 
 Tail probabilities are accumulated from the near end (upper tails are summed
 downward, never computed as one minus a cdf), so jump heights of order the
@@ -171,7 +170,7 @@ class Distribution:
     g: np.ndarray
     e: np.ndarray
     s: float
-    _log_weight: Callable | None = field(repr=False, default=None)
+    _logw: Callable | None = field(repr=False, default=None)
 
     @cached_property
     def logpmf_values(self) -> np.ndarray:
@@ -193,8 +192,7 @@ class Distribution:
         if 0 <= i < len(self.xs):
             return float(self.g[i]) - self.log_norm
         # off-window point deep in a truncated tail
-        g = float(self._log_weight(np.asarray([x], dtype=float))[0]) + self.theta * int(x)
-        return g - self.log_norm
+        return self._logw(int(x)) + self.theta * int(x) - self.log_norm
 
     def pmf(self, x) -> float:
         return math.exp(self.logpmf(x))
@@ -255,69 +253,58 @@ class LatticeFamily:
             raise EmptySupport("support has a single point; intervals are degenerate")
 
     @cached_property
-    def _table(self) -> np.ndarray:
-        # bounded supports keep the full log-weight table around
-        return np.asarray(self.log_weight(self.support.points().astype(float)), dtype=float)
+    def _span(self) -> tuple[int, np.ndarray]:
+        # (first, log w_first, ...): a bounded support's whole table; empty until
+        # _tabulate places one on an unbounded support
+        if not self.support.bounded:
+            return 0, np.empty(0)
+        return int(self.support.lo), np.asarray(
+            self.log_weight(self.support.points().astype(float)), dtype=float)
 
     @cached_property
     def _reflection(self) -> LatticeFamily:
         # -inf and +inf swap sides like the integer ends
         ref = LatticeFamily(LatticeSupport(-self.support.hi, -self.support.lo),
                             lambda z: self.log_weight(-np.asarray(z)))
-        # the reflection evaluates through its source, reads the table reversed and reflects back
-        ref.__dict__.update(_source=self, _reflection=self)
-        if self.support.bounded:
-            ref.__dict__["_table"] = self._table[::-1]
+        # the reflection evaluates and reads its weights through its source, and reflects back
+        ref.__dict__.update(_source=self, _reflection=self, _span=(0, np.empty(0)))
         return ref
 
     def _log_weights(self, a: int, b: int) -> np.ndarray:
-        """log w_x for x = a..b: the table's, the span's if it covers them, else one call."""
-        if self.support.bounded:
-            lo = int(self.support.lo)
-            return self._table[a - lo : b - lo + 1]
-        first, span = self.__dict__.get("_span", (0, ()))
+        """log w_x for x = a..b: the span's if it covers them, else one call."""
+        first, span = self._span
         if first <= a and b < first + len(span):
             return span[a - first : b - first + 1]
         return np.asarray(self.log_weight(np.arange(a, b + 1, dtype=float)), dtype=float)
 
     def _logw(self, x: int) -> float:
-        if self.support.bounded:
-            return self._table.item(int(x) - int(self.support.lo))
-        if "_source" in self.__dict__:
-            return self._source._logw(-x)
-        first, span = self.__dict__.get("_span", (0, ()))
+        first, span = self._span
         if 0 <= x - first < len(span):
             return span.item(x - first)
+        if "_source" in self.__dict__:
+            return self._source._logw(-x)
         return float(self.log_weight(np.asarray([x], dtype=float))[0])
 
     def _score(self, x: int, theta: float) -> float:
         return self._logw(x) + theta * int(x)
 
-    def _mode(self, theta: float, seen: dict | None = None) -> int:
+    def _mode(self, theta: float) -> int:
         """Argmax of log w_x + theta x: the first x where the summands stop rising.
 
         rising(x) is fl(fl(log w_{x+1} - log w_x) + theta) > 0, monotone in x
         because the differences are strictly decreasing and float rounding is
         monotone, so every search for its first false point finds the same x.
-        A bounded support bisects its table indices; an unbounded one gallops
-        from the last mode it found, or at first from the support point
-        nearest 0, reading both weights of a probe in one ``log_weight`` call
-        and keeping each weight it reads in ``seen``.
+        It gallops from the last mode found, or at first from the support point
+        nearest 0, reading both weights of a probe in one ``_log_weights`` call,
+        so a probe off an unbounded family's span costs one ``log_weight`` call.
         """
         lo, hi = self.support.lo, self.support.hi
-        if self.support.bounded:
-            # here and in _tail_cut: the warm gallop below, tried on bounded supports,
-            # lost 22 of 30 alternating benchmark pairs on p50 latency (2-core machine)
-            t, last = self._table.item, int(hi) - int(lo)
-            falling = lambda i: i == last or not t(i + 1) - t(i) + theta > 0.0
-            return int(lo) + _search(falling, -1, +1, last, last + 1)
-        seen = {} if seen is None else seen
 
         def rising(x: int) -> bool:
             if x >= hi:
                 return False
-            seen[x], seen[x + 1] = self._log_weights(x, x + 1).tolist()
-            return seen[x + 1] - seen[x] + theta > 0.0
+            w, w_next = self._log_weights(x, x + 1).tolist()
+            return w_next - w + theta > 0.0
 
         hint = self.__dict__.get("_hint")
         anchor = hint[0] if hint else int(min(max(0, lo), hi))
@@ -332,15 +319,11 @@ class LatticeFamily:
         or the support end on that side when no point does.
 
         dropped(x) is monotone outward from the mode, so any start finds the
-        same point. A bounded support gallops out from the mode; an unbounded
-        one starts at the last cut's distance from the mode (at first, at the
-        mode) and walks out or back from there.
+        same point. The search starts at the last cut's distance from the mode
+        (at first, at the mode), clamped to the support, and walks out or back
+        from there.
         """
         end = self.support.hi if direction > 0 else self.support.lo
-        if self.support.bounded:
-            t, lo = self._table.item, int(self.support.lo)
-            dropped = lambda x: g_mode - (t(x - lo) + theta * x) > TAIL_DROP
-            return _search(dropped, mode, direction, end, 8)
         dropped = lambda x: g_mode - self._score(x, theta) > TAIL_DROP
         reach = self.__dict__.get("_hint", (mode, 0, 0))[1 if direction < 0 else 2]
         start = mode + direction * reach
@@ -353,9 +336,8 @@ class LatticeFamily:
 
     def _window(self, theta: float) -> tuple[int, int, float]:
         """(a, b, g_mode): the summation window at theta and the mode's log summand."""
-        seen = {}
-        m = self._mode(theta, seen)
-        gm = seen[m] + theta * m if m in seen else self._score(m, theta)
+        m = self._mode(theta)
+        gm = self._score(m, theta)
         a = self._tail_cut(theta, m, gm, -1)
         b = self._tail_cut(theta, m, gm, +1)
         if not self.support.bounded:
@@ -365,8 +347,8 @@ class LatticeFamily:
                 raise UnboundedEnumeration(
                     f"summation window [{first}, {last}] at theta = {theta} is too large"
                 )
-            # start point of the next window search; any start gives the same window
-            self.__dict__["_hint"] = (m, m - a, b - m)
+        # start point of the next window search; any start gives the same window
+        self.__dict__["_hint"] = (m, m - a, b - m)
         return a, b, gm
 
     def distribution(self, theta: float) -> Distribution:
@@ -381,11 +363,11 @@ class LatticeFamily:
             raise ValueError(f"theta must be a float, got {theta!r}")
         source = self.__dict__.get("_source")
         if source is None:
-            return Distribution(self.support, theta, *self._tabulate(theta), self.log_weight)
+            return Distribution(self.support, theta, *self._tabulate(theta), self._logw)
         xs, log_norm, g, e, s = source._tabulate(-theta)
         # e is copied: numpy's dot skips BLAS on a reversed view, doubling the slopes' cost
         return Distribution(self.support, theta, -xs[::-1], log_norm, g[::-1], e[::-1].copy(), s,
-                            self.log_weight)
+                            self._logw)
 
     def _tabulate(self, theta: float) -> tuple:
         """(xs, log_norm, g, e, s) at theta of a family that is no reflection."""
@@ -397,16 +379,16 @@ class LatticeFamily:
                 )
             return np.asarray([int(endpoint)]), 0.0, np.zeros(1), np.ones(1), 1.0
         a, b, gm = self._window(theta)
-        first, span = self.__dict__.get("_span", (0, ()))
-        if not (self.support.bounded or first <= a and b < first + len(span)):
-            # replaced, never grown: the window and half its width past each end, in the support
+        first, span = self._span
+        if not (first <= a and b < first + len(span)):
+            # only an unbounded support's span can miss a window; it is replaced,
+            # never grown: the window and half its width past each end, in the support
             reach = (b - a + 1) // 2
             first, last = max(a - reach, self.support.lo), min(b + reach, self.support.hi)
             self.__dict__["_span"] = (first, self._log_weights(first, last))
         logw = self._log_weights(a, b)
         if "_log_concave" not in self.__dict__:  # once, at the first finite theta
-            start, read = (int(self.support.lo), self._table) if self.support.bounded else (a, logw)
-            _check_log_concave(start, read)
+            _check_log_concave(*(self._span if self.support.bounded else (a, logw)))
             self.__dict__["_log_concave"] = True
         xs = np.arange(a, b + 1)
         g = logw + theta * xs
@@ -416,17 +398,18 @@ class LatticeFamily:
 
 
 def validate(family: LatticeFamily, theta: float = 0.0) -> None:
-    """Check strict log-concavity of the stored weight range.
+    """Check strict log-concavity of the weights the window searches read.
 
-    For bounded supports the whole table is checked; for unbounded supports
-    only the summation window at ``theta``, which must be admissible (tail
-    behaviour is the constructor's responsibility). Raises
-    :class:`NotLogConcave` carrying the first violating interior index. Every
-    family runs the same check once, on the weights its first finite theta reads.
+    A bounded support is checked whole; an unbounded one only over its
+    summation window at ``theta``, which must be admissible (tail behaviour is
+    the constructor's responsibility). The check is strict in floats because
+    the searches' predicates are monotone only on strictly decreasing float
+    differences. Raises :class:`NotLogConcave` carrying the first violating
+    interior index. Every family runs the same check once, on the weights its
+    first finite theta reads.
     """
-    if family.support.bounded:
-        return _check_log_concave(int(family.support.lo), family._table)
-    first, last, _ = family._window(theta)
+    support = family.support
+    first, last = (int(support.lo), int(support.hi)) if support.bounded else family._window(theta)[:2]
     _check_log_concave(first, family._log_weights(first, last))
 
 
@@ -439,16 +422,6 @@ def _check_log_concave(first: int, logw: np.ndarray) -> None:
     bad = np.nonzero(d[1:] >= d[:-1])[0]
     if bad.size:
         raise NotLogConcave(first + int(bad[0]) + 1)
-
-
-def log_pmf(family: LatticeFamily, theta: float, x: int) -> float:
-    """log f_theta(x); x must lie in the support."""
-    return family.distribution(theta).logpmf(x)
-
-
-def cdf(family: LatticeFamily, theta: float, x: int) -> float:
-    """F_theta(x) = P(X <= x) for any integer x; 0 below, 1 at or above the support."""
-    return family.distribution(theta).cdf(x)
 
 
 def special_param(family: LatticeFamily, x: int, k: int) -> float:
@@ -485,8 +458,9 @@ def plateau(family: LatticeFamily, x: int) -> tuple[float, float]:
 def reflect(family: LatticeFamily) -> LatticeFamily:
     """The family of -X; lower-bound searches run upward in the reflection.
 
-    Built once per family and cached. It has no evaluator of its own: it reads
-    the original's distributions and log-weight table backwards, so its tails
-    are the original's bit for bit, and reflecting it again returns the original.
+    Built once per family and cached. It has no evaluator and no weights of its
+    own: it reads the original's distributions backwards and its weights
+    through the original, so its tails are the original's bit for bit, and
+    reflecting it again returns the original.
     """
     return family._reflection

@@ -52,7 +52,7 @@ PUBLIC = [
 
 # search internals that stay importable from their modules
 INTERNALS = {
-    "exactci.family": ["cdf", "log_pmf", "plateau", "reflect"],
+    "exactci.family": ["plateau", "reflect"],
     "exactci.sterne": ["SterneResult", "stage_one", "stage_two"],
     "exactci.coverage": ["interval_bounds", "_interval"],
 }

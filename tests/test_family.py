@@ -22,7 +22,7 @@ from exactci import (
     special_param,
     validate,
 )
-from exactci.family import TAIL_DROP, cdf, log_pmf, plateau, reflect
+from exactci.family import TAIL_DROP, plateau, reflect
 from oracles import ladder, truncated_geometric_variance
 from test_output_digest import digest
 from test_sterne import harmonic_family, negative_binomial
@@ -121,51 +121,55 @@ class TestValidate:
 
 class TestLogPmf:
     def test_fair_coin(self, bin2):
-        assert log_pmf(bin2.family, 0.0, 1) == pytest.approx(math.log(0.5), abs=1e-12)
+        assert bin2.family.distribution(0.0).logpmf(1) == pytest.approx(math.log(0.5), abs=1e-12)
 
     def test_point_mass_at_top(self, bin20):
-        assert log_pmf(bin20.family, math.inf, 20) == 0.0
-        assert log_pmf(bin20.family, math.inf, 5) == -math.inf
+        assert bin20.family.distribution(math.inf).logpmf(20) == 0.0
+        assert bin20.family.distribution(math.inf).logpmf(5) == -math.inf
 
     def test_point_mass_at_bottom(self, pois):
-        assert log_pmf(pois.family, -math.inf, 0) == 0.0
-        assert log_pmf(pois.family, -math.inf, 2) == -math.inf
+        assert pois.family.distribution(-math.inf).logpmf(0) == 0.0
+        assert pois.family.distribution(-math.inf).logpmf(2) == -math.inf
 
     def test_poisson_closed_form(self, pois):
         want = -4.0 + 3.0 * math.log(4.0) - math.log(6.0)
-        assert log_pmf(pois.family, math.log(4.0), 3) == pytest.approx(want, abs=1e-12)
+        assert pois.family.distribution(math.log(4.0)).logpmf(3) == pytest.approx(want, abs=1e-12)
 
     def test_out_of_support(self, bin20):
         with pytest.raises(OutOfSupport):
-            log_pmf(bin20.family, 0.0, 21)
+            bin20.family.distribution(0.0).logpmf(21)
 
     def test_infinite_theta_needs_finite_endpoint(self, pois):
         with pytest.raises(InadmissibleInfiniteTheta):
-            log_pmf(pois.family, math.inf, 3)
+            pois.family.distribution(math.inf).logpmf(3)
 
     def test_point_off_the_window(self):
         # x = 0 lies deep in the truncated tail, so the value comes from the
-        # log weight rather than the window's table: f(0) = 2^-2000
+        # family's log weight rather than the window's summands: f(0) = 2^-2000,
+        # and the reflection reads the same weight through its source
         fam = make_binomial(2000).family
         d = fam.distribution(0.0)
         assert (int(d.xs[0]), int(d.xs[-1])) == (195, 1805)
-        assert log_pmf(fam, 0.0, 0) == pytest.approx(-2000 * math.log(2.0), rel=1e-12)
+        assert d.logpmf(0) == pytest.approx(-2000 * math.log(2.0), rel=1e-12)
+        r = reflect(fam).distribution(-0.0)
+        assert (int(r.xs[0]), int(r.xs[-1])) == (-1805, -195)
+        assert r.logpmf(0) == d.logpmf(0) and r.logpmf(-2000) == d.logpmf(2000)
 
 
 class TestCdf:
     def test_fair_coin(self, bin2):
-        assert cdf(bin2.family, 0.0, 1) == pytest.approx(0.75, abs=1e-14)
+        assert bin2.family.distribution(0.0).cdf(1) == pytest.approx(0.75, abs=1e-14)
 
     def test_poisson_left_tail(self, pois):
         # F_lambda(0) = exp(-lambda) = 0.025 at lambda = -ln(0.025)
         theta = math.log(-math.log(0.025))
-        assert cdf(pois.family, theta, 0) == pytest.approx(0.025, abs=1e-12)
+        assert pois.family.distribution(theta).cdf(0) == pytest.approx(0.025, abs=1e-12)
 
     def test_exact_edges(self, bin20):
         fam = bin20.family
-        assert cdf(fam, 1.3, 20) == 1.0
-        assert cdf(fam, 1.3, 25) == 1.0
-        assert cdf(fam, 1.3, -1) == 0.0
+        assert fam.distribution(1.3).cdf(20) == 1.0
+        assert fam.distribution(1.3).cdf(25) == 1.0
+        assert fam.distribution(1.3).cdf(-1) == 0.0
 
     def test_truncated_window_edges(self, pois):
         d = pois.family.distribution(math.log(4.0))
@@ -181,7 +185,7 @@ class TestCdf:
             (or_big, 1.0, 42),
         ]:
             fam = model.family
-            assert abs(cdf(fam, theta + h, x) - cdf(fam, theta, x)) < 1e-4
+            assert abs(fam.distribution(theta + h).cdf(x) - fam.distribution(theta).cdf(x)) < 1e-4
 
 
 class TestSpecialParam:
@@ -284,13 +288,14 @@ class TestReflect:
         xs = bin20.family.support.points().astype(float)
         np.testing.assert_allclose(back.log_weight(xs), bin20.family.log_weight(xs), atol=1e-12)
 
-    def test_reflection_is_cached_and_shares_the_table(self, bin20):
+    def test_reflection_is_cached_and_reads_its_source_weights(self, bin20):
         fam = bin20.family
         ref = reflect(fam)
         assert reflect(fam) is ref
         assert reflect(ref) is fam
-        assert np.shares_memory(ref._table, fam._table)
-        np.testing.assert_array_equal(ref._table, fam._table[::-1])
+        # the reflection keeps no weights: each read goes to its source's table
+        assert len(ref._span[1]) == 0
+        assert [ref._logw(-x) for x in range(21)] == fam._span[1].tolist()
 
     @pytest.mark.parametrize("name", sorted(REFLECTED))
     def test_reflection_reads_the_family_backwards(self, name):
@@ -551,13 +556,14 @@ MODE_FAMILIES += [reflect(f) for f in MODE_FAMILIES]
 
 
 class TestBoundedMode:
-    """A bounded family bisects its log-weight table for the mode."""
+    """A bounded family's warm mode search finds the first argmax of its summands."""
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_mode_and_window_match_the_score_rule(self, data):
         fam = data.draw(st.sampled_from(MODE_FAMILIES))
-        t = fam._table
+        lo, hi = int(fam.support.lo), int(fam.support.hi)
+        t = fam._log_weights(lo, hi)
         i = data.draw(st.integers(0, len(t) - 2))
         # the exact tie of outcomes i and i + 1, any theta, and the extremes
         theta = data.draw(st.one_of(
@@ -565,8 +571,7 @@ class TestBoundedMode:
             st.floats(-1e3, 1e3),
             st.sampled_from([-1e3, 1e3]),
         ))
-        lo = int(fam.support.lo)
-        xs = np.arange(lo, lo + len(t))
+        xs = np.arange(lo, hi + 1)
         g = t + theta * xs
         first = lo + int(np.argmax(g))
         m = fam._mode(theta)
@@ -641,10 +646,51 @@ SPAN_FAMILIES = {
 }
 
 
+BOUNDED_FAMILIES = {
+    "binomial 20": lambda: make_binomial(20).family,
+    "binomial 1000": lambda: make_binomial(1000).family,
+    "binomial 1e5": lambda: make_binomial(10**5).family,
+    "odds ratio 49/317/245": lambda: make_odds_ratio(49, 317, 245).family,
+}
+
+
+def table_window(family, theta):
+    """(mode, (a, b, g_mode)) of a bounded family from its whole table: the
+    predicates of the window searches, with the same float operations, over
+    every point."""
+    lo, hi = int(family.support.lo), int(family.support.hi)
+    w, xs = family._log_weights(lo, hi), np.arange(lo, hi + 1)
+    m = lo + int(np.argmin(np.append(np.diff(w) + theta > 0.0, False)))
+    g = w + theta * xs
+    dropped = g[m - lo] - g > TAIL_DROP
+    below, above = np.nonzero(dropped[: m - lo])[0], np.nonzero(dropped[m - lo :])[0]
+    a = lo + int(below[-1]) if below.size else lo
+    b = m + int(above[0]) if above.size else hi
+    return m, (a, b, g.item(m - lo))
+
+
+def assert_walk_reads_the_fresh_family(family, walk, source, fresh, theta, sign):
+    """Evaluate ``walk`` (``family`` or its reflection) at sign * theta, warm from
+    its last window, and check it against ``fresh`` over a cold ``source``."""
+    d = walk.distribution(sign * theta)
+    xs = d.xs.tolist()
+    x = xs[len(xs) // 2]
+    ks = [k for k in (xs[0], xs[-1], x + 1, x - 3 * len(xs), x + 3 * len(xs))
+          if k != x and k in walk.support]
+    # the fresh family answers these before any window search of its own
+    assert [special_param(walk, x, k) for k in ks] == [special_param(fresh, x, k) for k in ks]
+    window = source._window(theta)  # searched from the support point nearest 0
+    cold = fresh.distribution(sign * theta)
+    assert family._window(theta) == window
+    assert xs == cold.xs.tolist() and d.g.tolist() == cold.g.tolist()
+    assert d.e.tolist() == cold.e.tolist() and (d.s, d.log_norm) == (cold.s, cold.log_norm)
+    return d
+
+
 class TestLogWeightSpan:
-    """Walking theta over an unbounded family, and over its reflection, reads
-    the same doubles as a fresh family, from a span at most twice the window
-    that placed it."""
+    """Walking theta over a family, and over its reflection, reads the same
+    doubles as a fresh family. An unbounded family reads them from a span at
+    most twice the window that placed it, a bounded one from its whole table."""
 
     @given(name=st.sampled_from(sorted(SPAN_FAMILIES)), reflected=st.booleans(),
            steps=st.lists(st.tuples(st.booleans(), st.floats(0.0, 1.0)), min_size=1, max_size=8))
@@ -668,20 +714,35 @@ class TestLogWeightSpan:
         for far, u in steps:
             # a far jump lands anywhere in the range, a near step moves 1 % of it
             theta = lo + u * (hi - lo) if far else min(max(theta + (u - 0.5) * 0.02 * (hi - lo), lo), hi)
-            fresh = reflect(checked()) if reflected else checked()
-            d = walk.distribution(sign * theta)
-            xs = d.xs.tolist()
-            x = xs[len(xs) // 2]
-            ks = [k for k in (xs[0], xs[-1], x + 1, x - 3 * len(xs), x + 3 * len(xs))
-                  if k != x and k in walk.support]
-            # the fresh family reads every weight through log_weight
-            assert [special_param(walk, x, k) for k in ks] == [special_param(fresh, x, k) for k in ks]
-            cold = fresh.distribution(sign * theta)
-            assert xs == cold.xs.tolist() and d.g.tolist() == cold.g.tolist()
-            assert d.e.tolist() == cold.e.tolist() and (d.s, d.log_norm) == (cold.s, cold.log_norm)
+            source = checked()
+            fresh = reflect(source) if reflected else source
+            xs = assert_walk_reads_the_fresh_family(family, walk, source, fresh, theta, sign).xs.tolist()
             first, logw = family.__dict__["_span"]
             a, b = (-xs[-1], -xs[0]) if reflected else (xs[0], xs[-1])
             if logw is not span:  # placed by this window
                 span, placed = logw, b - a + 1
             assert first <= a and b < first + len(span) and len(span) <= 2 * placed
             assert first in family.support and first + len(span) - 1 in family.support
+
+    @given(name=st.sampled_from(sorted(BOUNDED_FAMILIES)), reflected=st.booleans(),
+           steps=st.lists(st.tuples(st.sampled_from(["tie", "any", "extreme"]), st.floats(0.0, 1.0)),
+                          min_size=1, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_bounded_theta_walk_reads_the_fresh_family(self, name, reflected, steps):
+        family = BOUNDED_FAMILIES[name]()
+        walk = reflect(family) if reflected else family
+        sign = -1.0 if reflected else 1.0
+        lo, hi = int(family.support.lo), int(family.support.hi)
+        first, w = family._span  # the whole table, never replaced
+        assert (first, len(w)) == (lo, hi - lo + 1)
+        for kind, u in steps:
+            # the exact tie of outcomes i and i + 1, any theta, and the extremes
+            i = int(u * (hi - lo - 1))
+            theta = {"tie": -(w.item(i + 1) - w.item(i)), "any": 40.0 * u - 20.0,
+                     "extreme": math.copysign(1e3, u - 0.5)}[kind]
+            source = BOUNDED_FAMILIES[name]()
+            fresh = reflect(source) if reflected else source
+            assert_walk_reads_the_fresh_family(family, walk, source, fresh, theta, sign)
+            mode, window = table_window(family, theta)
+            assert family._window(theta) == window and family._mode(theta) == mode
+            assert family._span[1] is w

@@ -186,7 +186,8 @@ def _print_intervals(model, x, args, out=sys.stdout) -> None:
 
 
 def _natural_grid(start, end, points: int, what: str) -> list[float]:
-    """``points`` evenly spaced natural values from ``start`` to ``end``."""
+    """``points`` evenly spaced natural values from ``start`` to ``end``; the last is
+    ``end`` itself, which the spaced formula can miss by an ulp, past the natural range."""
     if start is None or end is None:
         raise BadGrid(f"{what} needs --from and --to")
     if points < 2:
@@ -195,7 +196,7 @@ def _natural_grid(start, end, points: int, what: str) -> list[float]:
         raise BadGrid(f"{what} needs --from < --to")
     if not math.isfinite(end - start):
         raise BadGrid(f"{what} needs finite --from and --to")
-    return [start + (end - start) * i / (points - 1) for i in range(points)]
+    return [start + (end - start) * i / (points - 1) for i in range(points - 1)] + [end]
 
 
 def _thetas(model, nats) -> list[float]:

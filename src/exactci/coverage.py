@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import ConfidenceInterval, _check_x, _unpack, clopper_pearson, one_sided_interval
-from .errors import InadmissibleInfiniteTheta, UnboundedEnumeration
+from .errors import BadGrid, InadmissibleInfiniteTheta, UnboundedEnumeration
 from .sterne import DEFAULT_DELTA, _sweep, sterne_interval
 
 _TAIL = 1e-14
@@ -106,7 +106,7 @@ def exact_coverage(fam_or_model, method: str, alpha: float, eta_grid,
     method = _canon_method(method)
     grid = [float(v) for v in eta_grid]
     if not grid or any(math.isnan(v) for v in grid):
-        raise ValueError(f"eta_grid must be non-empty and hold no nan, got {grid!r}")
+        raise BadGrid(f"eta_grid must be non-empty and hold no nan, got {grid!r}")
 
     if not family.support.bounded_below:
         raise UnboundedEnumeration("coverage enumeration needs a support bounded below")

@@ -123,7 +123,7 @@ class LatticeSupport:
         if self.lo > self.hi:
             raise EmptySupport(f"empty support: lo = {self.lo} > hi = {self.hi}")
 
-    # cached: the window searches ask these on every weight lookup
+    # cached: each evaluation's _window and _tabulate ask these
     @cached_property
     def bounded_below(self) -> bool:
         return self.lo != -math.inf

@@ -72,9 +72,10 @@ def _logit(p: float) -> float:
 
 
 def _exp(t: float) -> float:
-    if t > 700.0:
+    try:
+        return math.exp(t)
+    except OverflowError:
         return math.inf
-    return math.exp(t)
 
 
 def _log(v: float) -> float:
@@ -187,7 +188,7 @@ def make_odds_ratio(n1: int, n2: int, s: int) -> Model:
     if not _is_int(n1) or n1 < 1 or not _is_int(n2) or n2 < 1:
         raise BadN(f"group sizes must be positive integers, got n1={n1!r}, n2={n2!r}")
     if not _is_int(s):
-        raise ValueError(f"s must be an integer, got {s!r}")
+        raise BadN(f"s must be an integer, got {s!r}")
     n1, n2, s = int(n1), int(n2), int(s)
     if s < 0 or s > n1 + n2:
         raise EmptySupport(f"total s = {s} is incompatible with n1 + n2 = {n1 + n2}")

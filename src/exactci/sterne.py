@@ -15,15 +15,15 @@ function jumps down by the mass of the outcome k that enters the
 more-probable set, so the confidence set {eta : pi(x, eta) > alpha} has its
 endpoints either at a jump or at a root of the smooth piece.
 
-``sterne_upper`` finds the upper endpoint in two searches: an integer search
-over k for the last jump value at or above alpha (``stage_one``), by Newton
-steps on the log of the jump value in k, kept inside an integer bracket;
-then a root search inside the following piece (``stage_two``, on
-``bounds._bisect``) by Newton steps on log pi with the piece's derivative
-read off each evaluation, kept inside a bracket that stops once both its
-width and the p-value gap fall below delta, or once no float lies strictly
-inside it. Stage two reads the distribution at theta_{k_star,x} and the
-p-value at theta_{k_star+1,x} off stage one's bracket ends. Past the last
+Every endpoint, single or swept, upper or lower, runs two stages on a family,
+x and alpha that the public entries have checked. ``stage_one`` searches the
+integers k for the last jump value at or above alpha, by Newton steps on the
+log of the jump value in k, and returns k_star with the distribution at
+theta_{k_star,x} and the jump value at k_star + 1. ``stage_two`` finds the
+root inside the following piece by safeguarded Newton steps on log pi
+(``bounds._bisect``) to within delta, reads its first evaluation and the
+p-value at theta_{k_star+1,x} off stage one's returns, and returns the
+``SterneResult`` with the distribution at theta_{k_star,x}. Past the last
 jump of a bounded support the endpoint is the one-sided bound. One piece
 search, ``_first_jump``, finds the first k > x with theta_{k,x} >= eta for
 ``sterne_pvalue`` and for the curve jumps ``_jumps_between`` lists. Lower
@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 from . import family as _lattice
 from .bounds import (_bisect, _check_alpha, _check_delta, _check_x, _ci, _newton,
                      _solve_decreasing_cdf, _unpack)
-from .errors import DivergentSearch, OutOfSupport, UnboundedEnumeration
+from .errors import DivergentSearch, UnboundedEnumeration
 from .family import Distribution, LatticeFamily, _search, reflect, special_param
 
 DEFAULT_DELTA = 1e-8
@@ -155,16 +155,19 @@ def _endpoint(k, lo: float, hi: float, p_lo: float, p_hi: float, delta: float,
     return SterneResult(k, hi, (lo, hi), (p_lo, p_hi), p_hi, at_jump, delta)
 
 
-def stage_one(fam_or_model, x: int, alpha: float) -> int:
-    """Largest k > x whose jump value pi(x, theta_{k,x}) is still >= alpha.
+def stage_one(family: LatticeFamily, x: int, alpha: float, start: int | None = None):
+    """(k_star, d, J(k_star + 1)) for a checked family, x < max(X) and alpha: the
+    largest k > x whose jump value J(k) = pi(x, theta_{k,x}) is still >= alpha, the
+    distribution the search took at theta_{k_star,x} and the jump value it read at
+    k_star + 1, each None where it took none. No other probe's distribution is kept.
 
-    The jump values J(k) decrease in k, so this is one integer search for
-    the first k whose jump value falls below alpha, minus one. It keeps a
-    bracket of two probes, one >= alpha and one below (hi + 1 counts as one
-    below), and ends when they are adjacent. The first probe is x + 2; each
-    next one is floor(k'), plus one after a probe >= alpha, where k' (at most
-    max(X)) is the Newton step on log J from the last probe, with J(k + 1) -
-    J(k) ~ (d/dtheta) pi_k (theta_{k+1,x} - theta_{k,x}) - f(k) read off its
+    The jump values decrease in k, so this is one integer search for the first
+    k whose jump value falls below alpha, minus one. It keeps a bracket of two
+    probes, one >= alpha and one below (hi + 1 counts as one below), and ends
+    when they are adjacent. The first probe is x + 2; each next one is
+    floor(k'), plus one after a probe >= alpha, where k' (at most max(X)) is
+    the Newton step on log J from the last probe, with J(k + 1) - J(k) ~
+    (d/dtheta) pi_k (theta_{k+1,x} - theta_{k,x}) - f(k) read off its
     evaluation. Where log J is concave in k, as for the shipped models, the
     first step overshoots the crossing and the later ones converge from above.
     As in ``bounds._bisect`` a step is kept only if it lands strictly inside
@@ -174,20 +177,6 @@ def stage_one(fam_or_model, x: int, alpha: float) -> int:
     and one there still >= alpha raises DivergentSearch. A probe whose
     evaluation fails counts as past the crossing, and its error is raised if
     it ends the bracket.
-    """
-    family, _ = _unpack(fam_or_model)
-    alpha = _check_alpha(alpha)
-    x = _check_x(family, x)
-    if x == family.support.hi:
-        raise ValueError("x is the support maximum; the upper bound is +inf")
-    return _jump_bracket(family, x, alpha)[0]
-
-
-def _jump_bracket(family: LatticeFamily, x: int, alpha: float, start: int | None = None):
-    """(k_star, d, J(k_star + 1)): ``stage_one`` for a checked x < max(X), with
-    the distribution the search took at theta_{k_star,x} and the jump value it
-    read at k_star + 1, each None where it took none. No other probe's
-    distribution is kept.
 
     A warm search bets that k_star moved up by one from ``start``, the previous
     outcome's k_star: it probes s + 1, s = max(start, x + 1), and walks up from
@@ -247,8 +236,10 @@ def _jump_bracket(family: LatticeFamily, x: int, alpha: float, start: int | None
     return lo, d_lo, j_up
 
 
-def stage_two(fam_or_model, x: int, k: int, alpha: float, delta: float = DEFAULT_DELTA) -> SterneResult:
-    """The upper endpoint inside the piece following theta_{k,x}.
+def stage_two(family: LatticeFamily, x: int, k: int, alpha: float, delta: float,
+              d: Distribution | None = None, p_hi: float | None = None):
+    """(result, d at theta_{k,x}): the upper endpoint inside the piece following
+    theta_{k,x}, for a checked family, x < k <= max(X), alpha and delta.
 
     On (theta_{k,x}, theta_{k+1,x}] the p-value equals
     pi_k(eta) = P_eta(X >= k + 1) + F_eta(x), and its limit from the right at
@@ -260,33 +251,9 @@ def stage_two(fam_or_model, x: int, k: int, alpha: float, delta: float = DEFAULT
     pi_k(b') - pi_k(b) <= delta, or until b' and b are adjacent floats. Its
     Newton steps start from theta_{k,x} and use
     d pi_k / d eta = sum over y >= k + 1 and over y <= x of (y - E X) p_y.
+    Given ``d`` and ``p_hi``, stage one's distribution at theta_{k,x} and
+    J(k + 1) = pi_k(theta_{k+1,x}), it reads them instead of evaluating again.
     """
-    family, _ = _unpack(fam_or_model)
-    alpha = _check_alpha(alpha)
-    delta = _check_delta(delta)
-    if x not in family.support or k not in family.support:
-        raise OutOfSupport(f"x = {x}, k = {k} must lie in the support")
-    x, k = int(x), int(k)
-    if k <= x:
-        raise ValueError("stage_two expects k > x")
-    return _upper_result(family, x, alpha, delta, k=k)[0]
-
-
-def _upper_result(family: LatticeFamily, x: int, alpha: float, delta: float,
-                  start: int | None = None, k: int | None = None):
-    """(result, d): the upper endpoint, by ``stage_two`` in the piece following
-    theta_{k,x}, with the distribution at theta_{k,x} (None at the support maximum).
-
-    Without ``k``, stage one finds k_star first, warm-started at ``start`` (the
-    k_star of a smaller outcome) when given. Stage two then reads the
-    distribution at theta_{k,x} and the value pi_k(theta_{k+1,x}) = J(k + 1)
-    off stage one's bracket ends instead of evaluating them again.
-    """
-    if x == family.support.hi:
-        return _endpoint(None, math.inf, math.inf, 1.0, 1.0, delta), None
-    d = p_hi = None
-    if k is None:
-        k, d, p_hi = _jump_bracket(family, x, alpha, start)
 
     def piece(t: float) -> float:
         nonlocal d
@@ -311,6 +278,16 @@ def _upper_result(family: LatticeFamily, x: int, alpha: float, delta: float,
         p_hi = _two_tails(family.distribution(b_hi), k + 1, x)
     b = _bisect(piece, b_lo, b_hi, p_lo, p_hi, alpha, delta, delta, slope)
     return _endpoint(k, *b, delta), d_lo
+
+
+def _upper_result(family: LatticeFamily, x: int, alpha: float, delta: float,
+                  start: int | None = None):
+    """(result, d at theta_{k_star,x} or None at max(X)): ``stage_one``, warm-started at
+    ``start`` (the k_star of a smaller outcome) when given, then ``stage_two``."""
+    if x == family.support.hi:
+        return _endpoint(None, math.inf, math.inf, 1.0, 1.0, delta), None
+    k, d, p_hi = stage_one(family, x, alpha, start)
+    return stage_two(family, x, k, alpha, delta, d, p_hi)
 
 
 def _lower_result(family: LatticeFamily, x: int, alpha: float, delta: float) -> SterneResult:
@@ -353,7 +330,8 @@ def _sweep(family: LatticeFamily, xs, alpha: float, delta: float) -> dict[int, t
         if certified and ks[i] == z and qs[i] <= alpha:
             los[z], k = special_param(family, x, z), -x
         else:
-            r = _upper_result(mirror, -z, alpha, delta, k, -x if certified else None)[0]
+            r = (stage_two(mirror, -z, -x, alpha, delta) if certified
+                 else _upper_result(mirror, -z, alpha, delta, k))[0]
             los[z], k = -r.bound, r.k_star
     return {x: (los[x], his[x]) for x in xs}
 

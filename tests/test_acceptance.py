@@ -171,7 +171,7 @@ def test_poisson_upper_endpoint_lands_on_a_jump(pois):
     fam = pois.family
     for alpha in (0.1, 0.05, 0.01):
         for x in range(16):
-            k = stage_one(pois, x, alpha)
+            k = stage_one(fam, x, alpha)[0]
             bound = sterne_upper(pois, x, alpha)
             # right limit <= alpha is the condition under which the second
             # stage is skipped and the jump point itself is returned

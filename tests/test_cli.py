@@ -250,6 +250,19 @@ class TestAudit:
         assert all(float(r[2]) >= 0.95 - 1e-9 for r in rows)
         assert all(float(r[3]) > 0 for r in rows)
 
+    @pytest.mark.parametrize("start", ["0.2", "0.13779129410285074"])
+    def test_grid_ends_at_to(self, start):
+        # start + (end - start) * 6 / 6 misses 1.0 by one ulp: above it from 0.2,
+        # an argument error, and below it from the other start, which would audit
+        # theta = 36.7 instead of the point mass at p = 1
+        grid = ("--from", start, "--to", "1.0", "--points", "7")
+        code, out = run_cli("audit", "--model", "binomial", "--n", "20", *grid)
+        assert code == 0
+        assert parse_csv(out)[1][-1][:2] == ["inf", "1.0"]
+        code, out = run_cli("binomial", "--n", "20", "--x", "5", "--curve", *grid)
+        assert code == 0
+        assert [r for r in parse_csv(out)[1] if r[2] == "sample"][-1][0] == "1.0"
+
     def test_oddsratio_audit_needs_dimensions(self):
         code, _ = run_cli("audit", "--model", "oddsratio",
                           "--from", "0.5", "--to", "2")

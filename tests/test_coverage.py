@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import exactci.sterne
 
 from exactci import (
+    BadGrid,
     InadmissibleInfiniteTheta,
     LatticeFamily,
     OutOfSupport,
@@ -90,11 +91,11 @@ class TestExactCoverage:
             exact_coverage(pois, "sterne", 0.05, [0.0, math.inf])
 
     def test_empty_grid_rejected(self, bin20):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadGrid):
             exact_coverage(bin20, "sterne", 0.05, [])
 
     def test_nan_in_grid_rejected(self, bin20):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadGrid):
             exact_coverage(bin20, "sterne", 0.05, [0.0, math.nan])
 
     def test_unknown_method_rejected(self, bin20):
@@ -183,25 +184,33 @@ class TestSterneSweep:
         # search and does no work on the reflection for z
         family = make_binomial(200).family
         mirror = reflect(family)
-        k_star = {x: stage_one(family, x, 0.05) for x in range(200)}
+        k_star = {x: stage_one(family, x, 0.05)[0] for x in range(200)}
         single = {z: _lower_result(family, z, 0.05, DEFAULT_DELTA) for z in range(1, 201)}
         jumps = {z for z, r in single.items() if r.at_jump and k_star[r.k_star] == z}
         assert len(jumps) > 150
         reflected, called = [], []
-        evaluate, upper_result = LatticeFamily.distribution, exactci.sterne._upper_result
+        evaluate = LatticeFamily.distribution
 
         def counted(self, theta):
             if self is mirror:
                 reflected.append(theta)
             return evaluate(self, theta)
 
-        def spied(fam, x, *args):
-            if fam is mirror:
-                called.append(-x)
-            return upper_result(fam, x, *args)
+        def spy(name):
+            # a certified root end runs stage two alone, and every other end runs it
+            # through _upper_result
+            inner = getattr(exactci.sterne, name)
+
+            def spied(fam, x, *args):
+                if fam is mirror:
+                    called.append(-x)
+                return inner(fam, x, *args)
+
+            monkeypatch.setattr(exactci.sterne, name, spied)
 
         monkeypatch.setattr(LatticeFamily, "distribution", counted)
-        monkeypatch.setattr("exactci.sterne._upper_result", spied)
+        spy("_upper_result")
+        spy("stage_two")
         ends = _sweep(family, range(201), 0.05, DEFAULT_DELTA)
         assert all(ends[z][0] == single[z].bound for z in jumps)
         assert not jumps & set(called)

@@ -88,6 +88,9 @@ class TestMakePoisson:
         assert pois.to_natural(math.log(4.0)) == pytest.approx(4.0, rel=1e-15)
         assert pois.to_natural(-math.inf) == 0.0
         assert pois.to_natural(math.inf) == math.inf
+        # finite up to where math.exp overflows, near 709.78
+        assert pois.to_natural(705.0) == math.exp(705.0)
+        assert pois.to_natural(710.0) == math.inf
         assert pois.from_natural(0.0) == -math.inf
         with pytest.raises(ValueError):
             pois.from_natural(-1.0)
@@ -124,6 +127,10 @@ class TestMakeOddsRatio:
     def test_bad_group_sizes(self, n1, n2):
         with pytest.raises(BadN):
             make_odds_ratio(n1, n2, 2)
+
+    def test_non_integer_total(self):
+        with pytest.raises(BadN):
+            make_odds_ratio(49, 317, 2.5)
 
     def test_null_is_hypergeometric_small(self, or_small):
         d = or_small.family.distribution(0.0)

@@ -18,7 +18,9 @@ from exactci import (
     NotLogConcave,
     OutOfSupport,
     UnboundedEnumeration,
+    exact_coverage,
     jump_limits,
+    length_table,
     make_binomial,
     make_odds_ratio,
     make_poisson,
@@ -31,8 +33,9 @@ from exactci import (
     upper_bound,
 )
 import exactci.family
+import exactci.sterne
 from exactci.family import plateau, reflect
-from exactci.sterne import _jump_bracket, stage_one, stage_two
+from exactci.sterne import DEFAULT_DELTA, stage_one, stage_two
 from oracles import count_evaluations, k_star_reference, sterne_pvalue_oracle
 
 ALPHA = 0.05
@@ -255,35 +258,31 @@ class TestStageOne:
     def test_binomial_matches_linear_scan(self, bin20):
         fam = bin20.family
         for x, alpha in ((5, 0.05), (5, 0.2), (0, 0.05), (19, 0.05), (12, 0.01)):
-            assert stage_one(fam, x, alpha) == scan_last_jump_above(fam, x, alpha, 20)
+            assert stage_one(fam, x, alpha)[0] == scan_last_jump_above(fam, x, alpha, 20)
 
     def test_odds_ratio_matches_linear_scan(self, or_big):
         fam = or_big.family
         for x in (0, 17, 42, 48):
-            assert stage_one(fam, x, ALPHA) == scan_last_jump_above(fam, x, ALPHA, 49)
+            assert stage_one(fam, x, ALPHA)[0] == scan_last_jump_above(fam, x, ALPHA, 49)
 
     def test_poisson_known_values(self, pois):
-        assert stage_one(pois, 3, 0.05) == 15
-        assert stage_one(pois, 0, 0.05) == 8
-        assert stage_one(pois, 3, 0.05) == scan_last_jump_above(pois.family, 3, 0.05, 40)
-
-    def test_support_maximum_rejected(self, bin20):
-        with pytest.raises(ValueError):
-            stage_one(bin20, 20, 0.05)
+        assert stage_one(pois.family, 3, 0.05)[0] == 15
+        assert stage_one(pois.family, 0, 0.05)[0] == 8
+        assert stage_one(pois.family, 3, 0.05)[0] == scan_last_jump_above(pois.family, 3, 0.05, 40)
 
     @pytest.mark.parametrize("name,x", [("bin20", 5), ("bin20", 10), ("or_big", 42), ("pois", 3)])
     def test_warm_start_gives_the_cold_k(self, name, x, request):
         # a hint at or below k_star walks up to it; one above it is refused
         # and the cold search runs instead
         fam = request.getfixturevalue(name).family
-        k = stage_one(fam, x, ALPHA)
+        k = stage_one(fam, x, ALPHA)[0]
         for start in (x + 1, k - 1, k, k + 1, k + 7):
-            assert _jump_bracket(fam, x, ALPHA, start)[0] == k
+            assert stage_one(fam, x, ALPHA, start)[0] == k
 
 
 class TestStageTwo:
     def test_poisson_lands_on_jump(self, pois):
-        r = stage_two(pois, 3, 15, 0.05)
+        r = stage_two(pois.family, 3, 15, 0.05, DEFAULT_DELTA)[0]
         assert r.at_jump
         assert r.k_star == 15
         assert r.bound == special_param(pois.family, 3, 15)
@@ -293,9 +292,9 @@ class TestStageTwo:
     def test_binomial_lands_on_jump(self, bin20):
         # at the k* = 14 jump the right limit 0.0466 is already below alpha,
         # so the endpoint is the jump itself, returned exactly
-        k = stage_one(bin20, 5, ALPHA)
+        k = stage_one(bin20.family, 5, ALPHA)[0]
         assert k == 14
-        r = stage_two(bin20, 5, k, ALPHA)
+        r = stage_two(bin20.family, 5, k, ALPHA, DEFAULT_DELTA)[0]
         assert r.at_jump
         assert r.bound == special_param(bin20.family, 5, 14)
         assert r.achieved == jump_limits(bin20, 5, 14)[2]
@@ -305,9 +304,9 @@ class TestStageTwo:
     def test_binomial_interior_root(self, bin20):
         # here the right limit at k* = 18 still exceeds alpha and the
         # endpoint is a root inside the following piece
-        k = stage_one(bin20, 10, ALPHA)
+        k = stage_one(bin20.family, 10, ALPHA)[0]
         assert k == 18
-        r = stage_two(bin20, 10, k, ALPHA)
+        r = stage_two(bin20.family, 10, k, ALPHA, DEFAULT_DELTA)[0]
         assert not r.at_jump
         assert r.bound == r.bracket[1]
         assert r.bracket[1] - r.bracket[0] <= r.delta
@@ -324,9 +323,9 @@ class TestStageTwo:
         # the reflection
         fam = request.getfixturevalue(model).family
         fam = reflect(fam) if x < 0 else fam
-        k = stage_one(fam, x, ALPHA)
+        k = stage_one(fam, x, ALPHA)[0]
         calls = count_evaluations(monkeypatch)
-        r = stage_two(fam, x, k, ALPHA)
+        r = stage_two(fam, x, k, ALPHA, DEFAULT_DELTA)[0]
         assert not r.at_jump and r.bracket[1] - r.bracket[0] <= r.delta
         assert r.bracket_pvalues[0] > ALPHA >= r.bracket_pvalues[1]
         assert len(calls) <= 8
@@ -348,24 +347,24 @@ class TestStageTwo:
     def test_jump_end_reuses_stage_one_evaluations(self, request, monkeypatch, model, x):
         fam = request.getfixturevalue(model).family
         calls = count_evaluations(monkeypatch)
-        k = stage_one(fam, x, ALPHA)
+        k = stage_one(fam, x, ALPHA)[0]
         probes = len(calls)
         assert sterne_upper(fam, x, ALPHA) == special_param(fam, x, k)
         assert len(calls) == 2 * probes
 
     def test_delta_controls_the_bracket(self, bin20):
-        k = stage_one(bin20, 10, ALPHA)
-        coarse = stage_two(bin20, 10, k, ALPHA, delta=1e-4)
-        fine = stage_two(bin20, 10, k, ALPHA, delta=1e-10)
+        k = stage_one(bin20.family, 10, ALPHA)[0]
+        coarse = stage_two(bin20.family, 10, k, ALPHA, delta=1e-4)[0]
+        fine = stage_two(bin20.family, 10, k, ALPHA, delta=1e-10)[0]
         assert abs(coarse.bound - fine.bound) <= 1e-4 + 1e-10
         assert coarse.bracket[1] - coarse.bracket[0] <= 1e-4
 
     def test_delta_below_float_spacing(self, bin20):
         # the bracket runs out of floats before it is 1e-17 wide: it ends as two
         # adjacent floats, inside the wider 1e-15 bracket, on the conservative side
-        k = stage_one(bin20, 10, ALPHA)
-        tiny = stage_two(bin20, 10, k, ALPHA, delta=1e-17)
-        wide = stage_two(bin20, 10, k, ALPHA, delta=1e-15)
+        k = stage_one(bin20.family, 10, ALPHA)[0]
+        tiny = stage_two(bin20.family, 10, k, ALPHA, delta=1e-17)[0]
+        wide = stage_two(bin20.family, 10, k, ALPHA, delta=1e-15)[0]
         assert math.nextafter(tiny.bracket[0], math.inf) == tiny.bracket[1] == tiny.bound
         assert wide.bracket[0] <= tiny.bracket[0] < tiny.bound <= wide.bracket[1]
         assert tiny.achieved <= ALPHA
@@ -373,8 +372,8 @@ class TestStageTwo:
 
     def test_past_last_jump_is_the_one_sided_bound(self, bin20):
         # at k = max(X) only F(x) remains; its root is the one-sided bound
-        assert stage_one(bin20, 17, ALPHA) == 20
-        r = stage_two(bin20, 17, 20, ALPHA)
+        assert stage_one(bin20.family, 17, ALPHA)[0] == 20
+        r = stage_two(bin20.family, 17, 20, ALPHA, DEFAULT_DELTA)[0]
         assert not r.at_jump
         assert r.bound == upper_bound(bin20, 17, ALPHA)
         assert r.achieved == bin20.family.distribution(r.bound).cdf(17) <= ALPHA
@@ -383,7 +382,7 @@ class TestStageTwo:
         # the end's p-value is the tail the one-sided solve certified, so the
         # end costs stage one's probes and that solve, with no further evaluation
         calls = count_evaluations(monkeypatch)
-        stage_one(bin20, 17, ALPHA)
+        stage_one(bin20.family, 17, ALPHA)
         probes = len(calls)
         calls.clear()
         upper_bound(bin20, 17, ALPHA)
@@ -392,16 +391,10 @@ class TestStageTwo:
         sterne_upper(bin20, 17, ALPHA)
         assert len(calls) == probes + solve
 
-    def test_k_not_above_x_rejected(self, bin20):
-        with pytest.raises(ValueError):
-            stage_two(bin20, 5, 5, ALPHA)
-
     # True is no tolerance of 1.0
     @pytest.mark.parametrize("delta", [0.0, -1e-9, math.inf, "tight", math.nan, None, True,
                                        np.bool_(True)])
     def test_bad_delta(self, bin20, delta):
-        with pytest.raises(BadDelta):
-            stage_two(bin20, 5, 9, ALPHA, delta=delta)
         with pytest.raises(BadDelta):
             sterne_interval(bin20, 5, ALPHA, delta=delta)
 
@@ -410,6 +403,43 @@ class TestStageTwo:
         want = sterne_interval(bin20, 5, float(alpha), delta=float(delta))
         assert sterne_interval(bin20, 5, alpha, delta=delta) == want
         assert sterne_upper(bin20, 5, np.float16(0.25), np.int64(1)) == sterne_upper(bin20, 5, 0.25, 1.0)
+
+
+class TestStagesHoldEveryEvaluation:
+    """Each evaluation of a Sterne end, single or swept, upper or lower, runs
+    inside ``stage_one`` or ``stage_two``, called through the module's names, so a
+    tracer that wraps those two names counts all of them."""
+
+    def test_no_evaluation_outside_a_stage(self, monkeypatch, bin20, or_big, pois):
+        depth, inside, outside = [0], [], []
+        evaluate = LatticeFamily.distribution
+
+        def counted(self, theta):
+            (inside if depth[0] else outside).append(theta)
+            return evaluate(self, theta)
+
+        def staged(stage):
+            def wrapped(*args):
+                depth[0] += 1
+                try:
+                    return stage(*args)
+                finally:
+                    depth[0] -= 1
+
+            return wrapped
+
+        monkeypatch.setattr(LatticeFamily, "distribution", counted)
+        for name in ("stage_one", "stage_two"):
+            monkeypatch.setattr(exactci.sterne, name, staged(getattr(exactci.sterne, name)))
+        for x in (0, 5, 20):
+            sterne_interval(bin20, x, ALPHA)
+        sterne_interval(or_big, 42, ALPHA)
+        sterne_interval(pois, 3, ALPHA)
+        for model in (bin20, or_big):
+            lo, hi = int(model.family.support.lo), int(model.family.support.hi)
+            exact_coverage(model, "sterne", ALPHA, np.linspace(-3.0, 3.0, 7))
+            length_table(model, ["sterne"], ALPHA, range(lo, hi + 1))
+        assert inside and not outside
 
 
 class TestEndpoints:
@@ -454,7 +484,7 @@ class TestEndpoints:
         for alpha in (0.1, 0.05, 0.01):
             for x in range(16):
                 b = sterne_upper(pois, x, alpha)
-                assert b == special_param(pois.family, x, stage_one(pois, x, alpha))
+                assert b == special_param(pois.family, x, stage_one(pois.family, x, alpha)[0])
 
     def test_upper_isotonic_in_x_and_alpha(self, pois, bin20):
         ups = [sterne_upper(pois, x, ALPHA) for x in range(16)]
@@ -577,14 +607,14 @@ class TestDegenerateSearches:
         monkeypatch.setattr(exactci.family, "STEP_CAP", 8)
         calls = count_evaluations(monkeypatch)
         with pytest.raises(DivergentSearch, match="from x = 2 did not end"):
-            stage_one(bin12, 2, 1e-12)
+            stage_one(bin12.family, 2, 1e-12)
         assert max(calls) == special_param(bin12.family, 2, 10)
 
     def test_reduced_step_cap_keeps_a_crossing_below_it(self, monkeypatch):
         # at alpha = 0.1 the jump values of x = 3 cross at k = 168, far below
         # the capped probe at x + 2^14, which the search must not reach
         monkeypatch.setattr(exactci.family, "STEP_CAP", 1 << 14)
-        k = stage_one(harmonic_family(), 3, 0.1)
+        k = stage_one(harmonic_family(), 3, 0.1)[0]
         assert k == scan_last_jump_above(harmonic_family(), 3, 0.1, 200) == 168
 
     def test_huge_special_parameters(self):
@@ -720,9 +750,9 @@ class TestKStarReference:
         # running it here gives all three searches the same one
         _k_or_error(lambda: fam.distribution(special_param(fam, x, x + 1)))
         expected = _k_or_error(lambda: k_star_reference(fam, x, alpha))
-        assert _k_or_error(lambda: _jump_bracket(fam, x, alpha)[0]) == expected
+        assert _k_or_error(lambda: stage_one(fam, x, alpha)[0]) == expected
         start = draw_start((expected if isinstance(expected, int) else x + 64) + 8)
-        assert _k_or_error(lambda: _jump_bracket(fam, x, alpha, start)[0]) == expected
+        assert _k_or_error(lambda: stage_one(fam, x, alpha, start)[0]) == expected
         return expected
 
     @given(data=st.data())

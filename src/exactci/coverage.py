@@ -24,7 +24,8 @@ the row's window its terms are exactly 0.0, so it is that theta's pmf,
 normalised over its whole window. Coverage and expected length (inf where an
 outcome of infinite length has mass) sum it in another order than one sum per
 theta, which moves them by a few ulps, under 1e-15 relative. Infinite
-parameters are point masses at the support ends.
+parameters, and finite ones whose theta x overflows at the mode, are point
+masses.
 """
 
 from __future__ import annotations
@@ -146,14 +147,17 @@ def _grid_sums(family, grid: list, t_lo, t_hi, lengths):
     bounded below."""
     x0, last = int(family.support.lo), int(family.support.lo) + len(t_lo) - 1
     coverage, expected = np.empty(len(grid)), np.empty(len(grid))
-    stop, i = len(grid) - (grid[-1] == math.inf), 0
+    stop, i = len(grid), 0
+    while stop > 1:  # blocks end before the trailing point masses
+        a, b, _ = family._window(grid[stop - 1])
+        if a < b:
+            break
+        stop -= 1
     while i < len(grid):
-        if math.isinf(grid[i]):
-            # the point mass at that support end
-            a = b = int(family.support.lo if grid[i] < 0 else family.support.hi)
+        a, b, _ = family._window(grid[i])
+        if a == b:  # a point mass: an infinite theta, or theta x overflowing at the mode
             j, p = i + 1, np.ones((1, 1))
         else:
-            a, b, _ = family._window(grid[i])
             j = min(i + max(1, _BLOCK // (b - a + 1)), stop)
             if j > i + 1:
                 b = family._window(grid[j - 1])[1]

@@ -17,20 +17,18 @@ only over a summation window: the points whose log summand lies within
 ``TAIL_DROP`` natural-log units of the mode's, plus the first point past that
 on each side that has one. The same rule cuts finite and infinite sides.
 Every point off the window has a pmf that rounds to exactly 0.0 in double
-precision, so no pmf, cdf or sf value depends on the cut. Every family reads
-its weights from one store, a span of log weights. On a bounded support it is
-the whole table, read once, so every window lies inside it; the tables are
-most of a large model's memory, so no other per-point array is cached. On an
-unbounded side it is the last window and half that window's width past each
-end, within the support, replaced when a window falls outside it, so never
-more than twice one window. A weight off the span costs a ``log_weight``
-call. Every window search starts where the last window was found: the mode
-gallops from the last mode, and each cut from the last cut's distance to the
-mode. Both search predicates are monotone on strictly log-concave weights,
-which the first evaluation checks in floats (on a bounded support, the whole
-table), so the window does not depend on the start. A reflection, the family
-of -X, keeps no weights and searches nothing: it tabulates its source at
--theta and reads that window backwards, and its weights through its source.
+precision, so no pmf, cdf or sf value depends on the cut. Every family keeps
+its log weights in one store, their only copy: a distribution holds ``xs``,
+``e``, ``s`` and ``log_norm`` and reads log pmfs from the store. On a bounded
+support the store is the whole table, read once; on an unbounded side it is
+the last window and half its width past each end, in the support, replaced
+when a window falls outside it. A weight off the store costs a ``log_weight``
+call. Strict log-concavity is checked in floats where weights enter the store:
+a bounded table when it is read, an unbounded family's first window when its
+first span is placed. Both window search predicates are monotone on such
+weights, so each search may start where the last window was found. A
+reflection, the family of -X, keeps no weights and searches nothing: it
+tabulates its source at -theta and reads that distribution backwards.
 
 Tail probabilities are accumulated from the near end (upper tails are summed
 downward, never computed as one minus a cdf), so jump heights of order the
@@ -149,32 +147,34 @@ class LatticeSupport:
 class Distribution:
     """The family at a fixed theta, tabulated on its summation window.
 
-    ``xs``, ``logpmf_values`` and ``pmf_values`` cover the window only; every
-    outcome off it has a pmf that is exactly 0.0 in double precision, so
-    ``cdf`` is 0 below the window and 1 above it. ``cdf`` is exactly 0 below
-    the support and exactly 1 at or above its maximum; ``sf(x)`` is the
-    inclusive upper tail P(X >= x).
-
-    Only the window's log summands ``g`` = log w_x + theta x, their shifted
-    exponentials ``e`` = exp(g - g_mode) and ``s`` = sum(e) are computed up
-    front. The pmf and logpmf arrays are built on first read, and ``cdf`` and
-    ``sf`` sum only the part of the window they need, each as the last entry
-    of a running sum from its window end, so their values are those of a
-    full cumulative sum of ``pmf_values``.
+    It holds the window's points ``xs``, ``e`` = exp(log w_x + theta x - the
+    mode's), ``s`` = sum(e) and ``log_norm``, and reads log pmfs from the
+    family's store, of which ``logw`` is the window's view. A one-point window
+    is a point mass. Every outcome off the window has a pmf that is exactly 0.0
+    in double precision, so ``cdf`` is 0 below the window and 1 from its last
+    point on; ``sf(x)`` is the inclusive upper tail P(X >= x). Each sums only
+    the part of the window it needs, as the last entry of a running sum from
+    its window end, so its values are those of a full cumulative sum of
+    ``pmf_values``.
     """
 
     support: LatticeSupport
     theta: float
     xs: np.ndarray
     log_norm: float
-    g: np.ndarray
     e: np.ndarray
     s: float
+    logw: np.ndarray | None = field(repr=False, default=None)
     _logw: Callable | None = field(repr=False, default=None)
+
+    def __init__(self, support, theta, xs, log_norm, e, s, logw=None, _logw=None):
+        # one dict update: the frozen dataclass __init__'s eight setattr calls slowed every evaluation
+        self.__dict__.update(support=support, theta=theta, xs=xs, log_norm=log_norm, e=e, s=s,
+                             logw=logw, _logw=_logw)
 
     @cached_property
     def logpmf_values(self) -> np.ndarray:
-        return self.g - self.log_norm
+        return np.zeros(1) if len(self.xs) == 1 else self.logw + self.theta * self.xs - self.log_norm
 
     @cached_property
     def pmf_values(self) -> np.ndarray:
@@ -186,12 +186,8 @@ class Distribution:
     def logpmf(self, x) -> float:
         if x not in self.support:
             raise OutOfSupport(f"x = {x} is not in the support")
-        if math.isinf(self.theta):
+        if len(self.xs) == 1:  # a point mass
             return 0.0 if int(x) == int(self.xs[0]) else -math.inf
-        i = self._index(x)
-        if 0 <= i < len(self.xs):
-            return float(self.g[i]) - self.log_norm
-        # off-window point deep in a truncated tail
         return self._logw(int(x)) + self.theta * int(x) - self.log_norm
 
     def pmf(self, x) -> float:
@@ -240,9 +236,9 @@ class LatticeFamily:
     log w_x elementwise: its double at x may not depend on the other points in
     the call, as weights are read off calls over whole tables and spans. It must
     be a total function on the support. Every summation window is cut by the
-    TAIL_DROP rule alone. Strict log-concavity is checked once, on the weights
-    the first finite theta reads (a bounded support's whole table); a
-    reflection is checked as its source, so errors name the source's outcomes.
+    TAIL_DROP rule alone. Strict log-concavity is checked where weights enter
+    the store; a reflection is checked as its source, so errors name the
+    source's outcomes.
     """
 
     support: LatticeSupport
@@ -254,12 +250,12 @@ class LatticeFamily:
 
     @cached_property
     def _span(self) -> tuple[int, np.ndarray]:
-        # (first, log w_first, ...): a bounded support's whole table; empty until
-        # _tabulate places one on an unbounded support
+        # (first, log w_first, ...): a bounded support's checked table; unbounded, empty
         if not self.support.bounded:
             return 0, np.empty(0)
-        return int(self.support.lo), np.asarray(
-            self.log_weight(self.support.points().astype(float)), dtype=float)
+        table = np.asarray(self.log_weight(self.support.points().astype(float)), dtype=float)
+        _check_concavity(int(self.support.lo), table)
+        return int(self.support.lo), table
 
     @cached_property
     def _reflection(self) -> LatticeFamily:
@@ -335,9 +331,18 @@ class LatticeFamily:
         return _search(lambda x: not dropped(x), start, -direction, mode, 1) + direction
 
     def _window(self, theta: float) -> tuple[int, int, float]:
-        """(a, b, g_mode): the summation window at theta and the mode's log summand."""
+        """(a, b, g_mode): the summation window at theta and the mode's log summand;
+        a == b is a point mass, at the end of an infinite theta or at the mode."""
+        if math.isinf(theta):
+            end = self.support.lo if theta < 0 else self.support.hi
+            if not _is_int(end):
+                raise InadmissibleInfiniteTheta(
+                    f"theta = {theta} is inadmissible: that support end is unbounded")
+            return int(end), int(end), 0.0
         m = self._mode(theta)
         gm = self._score(m, theta)
+        if math.isinf(gm):  # theta m overflows: all other summands lie over 1e306 nats below
+            return m, m, gm
         a = self._tail_cut(theta, m, gm, -1)
         b = self._tail_cut(theta, m, gm, +1)
         if not self.support.bounded:
@@ -354,8 +359,8 @@ class LatticeFamily:
     def distribution(self, theta: float) -> Distribution:
         """Tabulate the family at theta (extended values included).
 
-        A reflection reads its source's window, summands and normaliser at
-        -theta backwards, so each tail is the source's opposite tail, bit for bit.
+        A reflection reads its source's distribution at -theta backwards, so
+        each tail is the source's opposite tail, bit for bit.
         """
         if isinstance(theta, (int, np.integer)):
             theta = float(theta)
@@ -363,22 +368,17 @@ class LatticeFamily:
             raise ValueError(f"theta must be a float, got {theta!r}")
         source = self.__dict__.get("_source")
         if source is None:
-            return Distribution(self.support, theta, *self._tabulate(theta), self._logw)
-        xs, log_norm, g, e, s = source._tabulate(-theta)
+            return self._tabulate(theta)
+        d = source._tabulate(-theta)
         # e is copied: numpy's dot skips BLAS on a reversed view, doubling the slopes' cost
-        return Distribution(self.support, theta, -xs[::-1], log_norm, g[::-1], e[::-1].copy(), s,
-                            self._logw)
+        return Distribution(self.support, theta, -d.xs[::-1], d.log_norm, d.e[::-1].copy(), d.s,
+                            None if d.logw is None else d.logw[::-1], self._logw)
 
-    def _tabulate(self, theta: float) -> tuple:
-        """(xs, log_norm, g, e, s) at theta of a family that is no reflection."""
-        if math.isinf(theta):
-            endpoint = self.support.lo if theta < 0 else self.support.hi
-            if not _is_int(endpoint):
-                raise InadmissibleInfiniteTheta(
-                    f"theta = {theta} is inadmissible: that support end is unbounded"
-                )
-            return np.asarray([int(endpoint)]), 0.0, np.zeros(1), np.ones(1), 1.0
+    def _tabulate(self, theta: float) -> Distribution:
+        """The distribution at theta of a family that is no reflection."""
         a, b, gm = self._window(theta)
+        if a == b:
+            return Distribution(self.support, theta, np.asarray([a]), 0.0, np.ones(1), 1.0)
         first, span = self._span
         if not (first <= a and b < first + len(span)):
             # only an unbounded support's span can miss a window; it is replaced,
@@ -386,15 +386,16 @@ class LatticeFamily:
             reach = (b - a + 1) // 2
             first, last = max(a - reach, self.support.lo), min(b + reach, self.support.hi)
             self.__dict__["_span"] = (first, self._log_weights(first, last))
+            if not len(span):  # the first weights that enter an unbounded family's store
+                _check_concavity(a, self._log_weights(a, b))
         logw = self._log_weights(a, b)
-        if "_log_concave" not in self.__dict__:  # once, at the first finite theta
-            _check_log_concave(*(self._span if self.support.bounded else (a, logw)))
-            self.__dict__["_log_concave"] = True
         xs = np.arange(a, b + 1)
-        g = logw + theta * xs
-        e = np.exp(g - gm)
+        e = theta * xs
+        e += logw
+        e -= gm
+        np.exp(e, out=e)
         s = float(e.sum())
-        return xs, gm + math.log(s), g, e, s
+        return Distribution(self.support, theta, xs, gm + math.log(s), e, s, logw, self._logw)
 
 
 def validate(family: LatticeFamily, theta: float = 0.0) -> None:
@@ -405,15 +406,14 @@ def validate(family: LatticeFamily, theta: float = 0.0) -> None:
     the constructor's responsibility). The check is strict in floats because
     the searches' predicates are monotone only on strictly decreasing float
     differences. Raises :class:`NotLogConcave` carrying the first violating
-    interior index. Every family runs the same check once, on the weights its
-    first finite theta reads.
+    interior index. Every family runs the same check where weights enter its store.
     """
     support = family.support
     first, last = (int(support.lo), int(support.hi)) if support.bounded else family._window(theta)[:2]
-    _check_log_concave(first, family._log_weights(first, last))
+    _check_concavity(first, family._log_weights(first, last))
 
 
-def _check_log_concave(first: int, logw: np.ndarray) -> None:
+def _check_concavity(first: int, logw: np.ndarray) -> None:
     """Raise NotLogConcave at the first bad point of log w_first, log w_first+1, ..."""
     bad = np.nonzero(~np.isfinite(logw))[0]
     if bad.size:

@@ -51,10 +51,6 @@ class Model:
 
 
 def _expit(t: float) -> float:
-    if t == math.inf:
-        return 1.0
-    if t == -math.inf:
-        return 0.0
     if t >= 0:
         return 1.0 / (1.0 + math.exp(-t))
     e = math.exp(t)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exactci import (
+    DivergentSearch,
     EmptySupport,
     InadmissibleInfiniteTheta,
     KEqualsX,
@@ -19,9 +21,14 @@ from exactci import (
     make_binomial,
     make_odds_ratio,
     make_poisson,
+    pvalue_left,
+    pvalue_right,
+    pvalue_two,
     special_param,
+    sterne_pvalue,
     validate,
 )
+from exactci.coverage import exact_coverage
 from exactci.family import TAIL_DROP, plateau, reflect
 from oracles import ladder, truncated_geometric_variance
 from test_output_digest import digest
@@ -108,6 +115,15 @@ class TestValidate:
         make_poisson().family.distribution(0.5)
         assert searches == [0.5]
 
+    def test_bounded_table_read_checks(self):
+        # the check runs where the weights enter the store: a bounded family's
+        # first weight read, here a special parameter, before any evaluation
+        fam = LatticeFamily(LatticeSupport(0, 30), lambda xs: 0.05 * xs * xs)
+        for _ in range(2):  # a refused table is not kept
+            with pytest.raises(NotLogConcave) as info:
+                special_param(fam, 3, 5)
+            assert info.value.x == 1
+
     def test_reflection_reports_the_user_outcome(self):
         fam = LatticeFamily(LatticeSupport(0, 30), lambda xs: 0.05 * xs * xs)
         with pytest.raises(NotLogConcave) as info:
@@ -154,6 +170,72 @@ class TestLogPmf:
         r = reflect(fam).distribution(-0.0)
         assert (int(r.xs[0]), int(r.xs[-1])) == (-1805, -195)
         assert r.logpmf(0) == d.logpmf(0) and r.logpmf(-2000) == d.logpmf(2000)
+
+
+class TestOneCopyOfTheWeights:
+    """A distribution keeps its window's points and shifted exponentials, and
+    reads its log weights from the family's store."""
+
+    def test_an_evaluation_keeps_two_window_arrays(self):
+        fam, theta = make_binomial(10**6).family, math.log(0.3 / 0.7)
+        fam.distribution(theta)  # reads the table and leaves the warm start
+        tracemalloc.start()
+        try:
+            d = fam.distribution(theta)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        window = 8 * len(d.xs)
+        assert len(d.xs) > 30000
+        assert kept <= 2.1 * window and peak <= 2.5 * window
+
+    @pytest.mark.parametrize("reflected", [False, True])
+    def test_log_pmfs_read_the_store(self, reflected):
+        fam = make_binomial(1000).family
+        walk = reflect(fam) if reflected else fam
+        d = walk.distribution(-0.4 if reflected else 0.4)
+        assert "g" not in {f.name for f in dataclasses.fields(d)}
+        assert np.shares_memory(d.logw, fam._span[1])
+        assert d.logpmf_values.tolist() == [d.logpmf(int(x)) for x in d.xs]
+
+
+def quadratic_family():
+    return LatticeFamily(LatticeSupport(5, 30), lambda xs: -0.05 * xs * xs)
+
+
+class TestOverflowAtTheMode:
+    """A theta whose summand overflows at the mode, theta x beyond the largest
+    double, leaves every other outcome more than 1e306 nats lower: the point
+    mass that theta = +-inf gives at that support end."""
+
+    def test_distribution_is_the_point_mass(self):
+        d = make_binomial(20).family.distribution(1e308)
+        assert d.theta == 1e308 and d.xs.tolist() == [20] and d.logpmf_values.tolist() == [0.0]
+        assert (d.logpmf(20), d.logpmf(5), d.cdf(19), d.sf(20), d.mean) == (0.0, -math.inf, 0.0, 1.0, 20.0)
+        r = reflect(make_binomial(20).family).distribution(-1e308)
+        assert r.theta == -1e308 and r.xs.tolist() == [-20] and r.logpmf_values.tolist() == [0.0]
+        d = quadratic_family().distribution(-1e308)
+        assert d.xs.tolist() == [5] and (d.logpmf(5), d.logpmf(6)) == (0.0, -math.inf)
+
+    def test_pvalues(self):
+        assert pvalue_two(make_binomial(20), 5, 1e308) == 0.0
+        assert pvalue_left(make_binomial(20), 5, 1e308) == 0.0
+        assert pvalue_right(make_odds_ratio(49, 317, 245), 49, 1e307) == 1.0
+        assert pvalue_left(quadratic_family(), 5, -1e308) == 1.0
+        assert sterne_pvalue(make_binomial(20), 5, 1e308).value == 0.0
+
+    def test_audit_row_is_the_point_mass_row(self):
+        # the Sterne interval of x = 20 is unbounded above, so it covers every theta
+        at_inf = exact_coverage(make_binomial(20), "sterne", 0.05, [math.inf])
+        for grid in ([0.0, 1e308], [0.0, 1e308, math.inf]):
+            r = exact_coverage(make_binomial(20), "sterne", 0.05, grid)
+            i = r.grid.tolist().index(1e308)
+            assert (r.coverage[i], r.expected_length[i]) == (1.0, at_inf.expected_length[0])
+            assert not np.isnan(r.expected_length).any() and r.min_coverage == r.coverage.min() < 1.0
+
+    def test_unbounded_side_still_diverges(self):
+        with pytest.raises(DivergentSearch):
+            make_poisson().family.distribution(1e308)
 
 
 class TestCdf:
@@ -626,7 +708,7 @@ class TestPoissonWeightReads:
         assert calls == []
         cold = make_poisson().family.distribution(math.log(33.0))
         assert d.xs.tolist() == cold.xs.tolist()
-        assert d.g.tolist() == cold.g.tolist() and d.log_norm == cold.log_norm
+        assert d.logpmf_values.tolist() == cold.logpmf_values.tolist() and d.log_norm == cold.log_norm
         # a window off the span: the searches read single weights and probe
         # pairs, and one last call reads the new span
         far = fam.distribution(math.log(3000.0))
@@ -682,7 +764,7 @@ def assert_walk_reads_the_fresh_family(family, walk, source, fresh, theta, sign)
     window = source._window(theta)  # searched from the support point nearest 0
     cold = fresh.distribution(sign * theta)
     assert family._window(theta) == window
-    assert xs == cold.xs.tolist() and d.g.tolist() == cold.g.tolist()
+    assert xs == cold.xs.tolist() and d.logpmf_values.tolist() == cold.logpmf_values.tolist()
     assert d.e.tolist() == cold.e.tolist() and (d.s, d.log_norm) == (cold.s, cold.log_norm)
     return d
 
@@ -699,22 +781,22 @@ class TestLogWeightSpan:
         maker, (lo, hi) = SPAN_FAMILIES[name]
 
         def checked():
-            # the log-concavity check runs at the first theta a family evaluates
-            # (on long windows rounding can fail it); run it at the short window
-            # of theta = lo, then forget the warm start and the span it left
+            # the log-concavity check runs on the first span a family places (on
+            # long windows rounding can fail it): place it at the short window of
+            # theta = lo, then forget the warm start
             family = maker()
-            family.distribution(lo)
-            del family.__dict__["_hint"], family.__dict__["_span"]
-            return family
+            placed = len(family.distribution(lo).xs)
+            del family.__dict__["_hint"]
+            return family, placed
 
-        family = checked()
+        family, placed = checked()
         walk = reflect(family) if reflected else family
         sign = -1.0 if reflected else 1.0
-        theta, span, placed = lo + 0.5 * (hi - lo), None, 0
+        theta, span = lo + 0.5 * (hi - lo), family.__dict__["_span"][1]
         for far, u in steps:
             # a far jump lands anywhere in the range, a near step moves 1 % of it
             theta = lo + u * (hi - lo) if far else min(max(theta + (u - 0.5) * 0.02 * (hi - lo), lo), hi)
-            source = checked()
+            source = checked()[0]
             fresh = reflect(source) if reflected else source
             xs = assert_walk_reads_the_fresh_family(family, walk, source, fresh, theta, sign).xs.tolist()
             first, logw = family.__dict__["_span"]

@@ -24,11 +24,11 @@ support the store is the whole table, read once; on an unbounded side it is
 the last window and half its width past each end, in the support, replaced
 when a window falls outside it. A weight off the store costs a ``log_weight``
 call. Strict log-concavity is checked in floats where weights enter the store:
-a bounded table when it is read, an unbounded family's first window when its
-first span is placed. Both window search predicates are monotone on such
+a bounded table when it is read, an unbounded family's first window before
+its first span is kept. Both window search predicates are monotone on such
 weights, so each search may start where the last window was found. A
 reflection, the family of -X, keeps no weights and searches nothing: it
-tabulates its source at -theta and reads that distribution backwards.
+tabulates its source at -theta and turns that distribution around.
 
 Tail probabilities are accumulated from the near end (upper tails are summed
 downward, never computed as one minus a cdf), so jump heights of order the
@@ -143,7 +143,7 @@ class LatticeSupport:
         return np.arange(int(self.lo), int(self.hi) + 1)
 
 
-@dataclass(frozen=True)
+@dataclass  # not frozen: one is built per evaluation, and a frozen __init__ sets fields slowly
 class Distribution:
     """The family at a fixed theta, tabulated on its summation window.
 
@@ -166,11 +166,6 @@ class Distribution:
     s: float
     logw: np.ndarray | None = field(repr=False, default=None)
     _logw: Callable | None = field(repr=False, default=None)
-
-    def __init__(self, support, theta, xs, log_norm, e, s, logw=None, _logw=None):
-        # one dict update: the frozen dataclass __init__'s eight setattr calls slowed every evaluation
-        self.__dict__.update(support=support, theta=theta, xs=xs, log_norm=log_norm, e=e, s=s,
-                             logw=logw, _logw=_logw)
 
     @cached_property
     def logpmf_values(self) -> np.ndarray:
@@ -341,7 +336,7 @@ class LatticeFamily:
             return int(end), int(end), 0.0
         m = self._mode(theta)
         gm = self._score(m, theta)
-        if math.isinf(gm):  # theta m overflows: all other summands lie over 1e306 nats below
+        if math.isinf(gm) and math.isfinite(self._logw(m)):  # theta m overflows
             return m, m, gm
         a = self._tail_cut(theta, m, gm, -1)
         b = self._tail_cut(theta, m, gm, +1)
@@ -359,8 +354,8 @@ class LatticeFamily:
     def distribution(self, theta: float) -> Distribution:
         """Tabulate the family at theta (extended values included).
 
-        A reflection reads its source's distribution at -theta backwards, so
-        each tail is the source's opposite tail, bit for bit.
+        A reflection turns its source's fresh distribution at -theta around in
+        place, so each tail is the source's opposite tail, bit for bit.
         """
         if isinstance(theta, (int, np.integer)):
             theta = float(theta)
@@ -369,10 +364,11 @@ class LatticeFamily:
         source = self.__dict__.get("_source")
         if source is None:
             return self._tabulate(theta)
-        d = source._tabulate(-theta)
         # e is copied: numpy's dot skips BLAS on a reversed view, doubling the slopes' cost
-        return Distribution(self.support, theta, -d.xs[::-1], d.log_norm, d.e[::-1].copy(), d.s,
-                            None if d.logw is None else d.logw[::-1], self._logw)
+        d = source._tabulate(-theta)
+        d.__dict__.update(support=self.support, theta=theta, xs=-d.xs[::-1], e=d.e[::-1].copy(),
+                          logw=None if d.logw is None else d.logw[::-1], _logw=self._logw)
+        return d
 
     def _tabulate(self, theta: float) -> Distribution:
         """The distribution at theta of a family that is no reflection."""
@@ -385,9 +381,10 @@ class LatticeFamily:
             # never grown: the window and half its width past each end, in the support
             reach = (b - a + 1) // 2
             first, last = max(a - reach, self.support.lo), min(b + reach, self.support.hi)
-            self.__dict__["_span"] = (first, self._log_weights(first, last))
-            if not len(span):  # the first weights that enter an unbounded family's store
-                _check_concavity(a, self._log_weights(a, b))
+            stored = self._log_weights(first, last)
+            if not len(span):  # an unbounded family's first weights, checked before they are kept
+                _check_concavity(a, stored[a - first : b - first + 1])
+            self.__dict__["_span"] = (first, stored)
         logw = self._log_weights(a, b)
         xs = np.arange(a, b + 1)
         e = theta * xs
@@ -409,6 +406,9 @@ def validate(family: LatticeFamily, theta: float = 0.0) -> None:
     interior index. Every family runs the same check where weights enter its store.
     """
     support = family.support
+    if support.bounded and "_source" not in family.__dict__:
+        family._span  # reading a bounded table checks it
+        return
     first, last = (int(support.lo), int(support.hi)) if support.bounded else family._window(theta)[:2]
     _check_concavity(first, family._log_weights(first, last))
 

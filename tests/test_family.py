@@ -106,9 +106,11 @@ class TestValidate:
         wavy = lambda: LatticeFamily(LatticeSupport(0, math.inf), lambda xs: -xs + 0.5 * np.sin(xs))
         with pytest.raises(NotLogConcave) as checked:
             validate(wavy(), 0.5)
-        with pytest.raises(NotLogConcave) as evaluated:
-            wavy().distribution(0.5)
-        assert evaluated.value.x == checked.value.x
+        fam = wavy()
+        for _ in range(2):  # a refused first window is not kept
+            with pytest.raises(NotLogConcave) as evaluated:
+                fam.distribution(0.5)
+            assert evaluated.value.x == checked.value.x
         searches, window = [], LatticeFamily._window
         monkeypatch.setattr(LatticeFamily, "_window",
                             lambda self, theta: searches.append(theta) or window(self, theta))
@@ -232,6 +234,14 @@ class TestOverflowAtTheMode:
             i = r.grid.tolist().index(1e308)
             assert (r.coverage[i], r.expected_length[i]) == (1.0, at_inf.expected_length[0])
             assert not np.isnan(r.expected_length).any() and r.min_coverage == r.coverage.min() < 1.0
+
+    def test_infinite_weight_at_the_mode_is_refused(self):
+        # a +inf log weight makes the mode's summand infinite without any overflow
+        fam = LatticeFamily(LatticeSupport(0, math.inf), lambda xs: np.where(xs == 0, np.inf, -xs * xs))
+        for theta in (0.0, 1.0):
+            with pytest.raises(NotLogConcave) as info:
+                fam.distribution(theta)
+            assert info.value.x == 0
 
     def test_unbounded_side_still_diverges(self):
         with pytest.raises(DivergentSearch):

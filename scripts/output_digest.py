@@ -9,16 +9,12 @@ the repr of every output field, the name of the typed error it raised (or null)
 and the number of ``LatticeFamily.distribution`` calls it made. Two
 checkouts compare by diff:
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/output_digest.py > new.jsonl
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=../old/src python scripts/output_digest.py > old.jsonl
+    PYTHONPATH=src python scripts/output_digest.py > new.jsonl
+    PYTHONPATH=../old/src python scripts/output_digest.py > old.jsonl
     diff old.jsonl new.jsonl
 
-Both digests must run with the same BLAS thread count, as above, until the
-mean, the slopes and the coverage sums stop using ``@`` (ROADMAP direction
-2(a)). Above about 10^4 points OpenBLAS threads that dot product, which sums
-in another order: on a 2-core machine one tree's digests with one thread and
-with OpenBLAS's default differ in 30 of 2686 cases, theta by up to 4.4e-15
-relative (the BLAS-thread FOUND line in CHANGES.md).
+The package calls no BLAS, so the output does not depend on the BLAS
+thread count.
 
 It takes about 15 s on one core. ``--compare OLD NEW`` reads two such files
 and prints, for each case whose line moved and each field that moved in it,

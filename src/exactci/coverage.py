@@ -173,7 +173,8 @@ def _grid_sums(family, grid: list, t_lo, t_hi, lengths):
             span = lengths[a - x0 : b - x0 + 1]
             finite = np.isfinite(span)
             # inf where an outcome of infinite length has mass
-            expected[i:j] = np.where(p @ ~finite > 0.0, math.inf, p @ np.where(finite, span, 0.0))
+            expected[i:j] = np.where(np.einsum("ij,j->i", p, ~finite) > 0.0, math.inf,
+                                     np.einsum("ij,j->i", p, np.where(finite, span, 0.0)))
         m, eta = min(b, last) - a + 1, np.asarray(grid[i:j])[:, None]
         p[:, :m] *= (t_lo[a - x0 : a - x0 + m] <= eta) & (eta <= t_hi[a - x0 : a - x0 + m])
         coverage[i:j] = p[:, :m].sum(axis=1)

@@ -27,13 +27,13 @@ call. Strict log-concavity is checked in floats where weights enter the store:
 a bounded table when it is read, an unbounded family's first window before
 its first span is kept. Both window search predicates are monotone on such
 weights, so each search may start where the last window was found. A
-reflection, the family of -X, keeps no weights and searches nothing: it
-tabulates its source at -theta and turns that distribution around.
+reflection, the family of -X, keeps no weights and searches nothing: its
+distribution is a view of its source's at -theta, read at the opposite point.
 
-Tail probabilities are accumulated from the near end (upper tails are summed
-downward, never computed as one minus a cdf), so jump heights of order the
-smallest pmf value survive in float arithmetic. A tail is summed only when
-it is asked for, over the part of the window it covers.
+Each tail is summed on its own (upper tails are never one minus a cdf), so
+jump heights of order the smallest pmf value survive in float arithmetic. A
+tail is summed only when it is asked for, as one pairwise sum over the part
+of the window it covers.
 """
 
 from __future__ import annotations
@@ -147,15 +147,16 @@ class LatticeSupport:
 class Distribution:
     """The family at a fixed theta, tabulated on its summation window.
 
-    It holds the window's points ``xs``, ``e`` = exp(log w_x + theta x - the
-    mode's), ``s`` = sum(e) and ``log_norm``, and reads log pmfs from the
-    family's store, of which ``logw`` is the window's view. A one-point window
-    is a point mass. Every outcome off the window has a pmf that is exactly 0.0
-    in double precision, so ``cdf`` is 0 below the window and 1 from its last
-    point on; ``sf(x)`` is the inclusive upper tail P(X >= x). Each sums only
-    the part of the window it needs, as the last entry of a running sum from
-    its window end, so its values are those of a full cumulative sum of
-    ``pmf_values``.
+    It holds the window's points ``xs`` (float64, so the tabulation needs no
+    cast), ``e`` = exp(log w_x + theta x - the mode's), ``s`` = sum(e) and
+    ``log_norm``, and reads log pmfs from the family's store, of which
+    ``logw`` is the window's view. A one-point window is a point mass. Every
+    outcome off the window has a pmf that is exactly 0.0 in double precision,
+    so ``cdf`` is 0 below the window and 1 from its last point on; ``sf(x)``
+    is the inclusive upper tail P(X >= x). Each tail is one pairwise sum of
+    its own contiguous slice of ``e`` (numpy's, whose rounding grows as log n),
+    divided by ``s``; the mean and the slopes are ``einsum`` reductions. None
+    of them calls BLAS, so no value depends on a thread count.
     """
 
     support: LatticeSupport
@@ -169,20 +170,21 @@ class Distribution:
 
     @cached_property
     def logpmf_values(self) -> np.ndarray:
-        return np.zeros(1) if len(self.xs) == 1 else self.logw + self.theta * self.xs - self.log_norm
+        return np.zeros(1) if self.logw is None else self.logw + self.theta * self.xs - self.log_norm
 
     @cached_property
     def pmf_values(self) -> np.ndarray:
         return self.e / self.s
 
-    def _index(self, x: int) -> int:
-        return int(x) - int(self.xs[0])
+    @cached_property
+    def _ends(self) -> tuple[int, int]:
+        return int(self.xs[0]), int(self.xs[-1])
 
     def logpmf(self, x) -> float:
         if x not in self.support:
             raise OutOfSupport(f"x = {x} is not in the support")
-        if len(self.xs) == 1:  # a point mass
-            return 0.0 if int(x) == int(self.xs[0]) else -math.inf
+        if self.logw is None:  # a point mass
+            return 0.0 if int(x) == self._ends[0] else -math.inf
         return self._logw(int(x)) + self.theta * int(x) - self.log_norm
 
     def pmf(self, x) -> float:
@@ -190,37 +192,79 @@ class Distribution:
 
     def cdf(self, x) -> float:
         """P(X <= x) for any integer x."""
-        if x < self.xs[0]:
+        a, b = self._ends
+        if x < a:
             return 0.0
-        if x >= self.xs[-1]:
+        if x >= b:
             return 1.0
-        return float(min(np.cumsum(self.e[: self._index(x) + 1] / self.s)[-1], 1.0))
+        return min(float(np.add.reduce(self.e[: x - a + 1])) / self.s, 1.0)
 
     def sf(self, x) -> float:
-        """P(X >= x) for any integer x, summed from the tail inward."""
-        if x <= self.xs[0]:
+        """P(X >= x) for any integer x, summed over the tail alone."""
+        a, b = self._ends
+        if x <= a:
             return 1.0
-        if x > self.xs[-1]:
+        if x > b:
             return 0.0
-        return float(min(np.cumsum(self.e[self._index(x) :][::-1] / self.s)[-1], 1.0))
+        return min(float(np.add.reduce(self.e[x - a :])) / self.s, 1.0)
 
     @cached_property
     def mean(self) -> float:
-        return float(self.xs @ self.e) / self.s
+        return float(np.einsum("i,i->", self.xs, self.e)) / self.s
 
     def cdf_slope(self, x) -> float:
         """d/dtheta P(X <= x) = sum over y <= x of (y - E X) p_y, summed over that tail."""
-        if x < self.xs[0] or x >= self.xs[-1]:
+        a, b = self._ends
+        if x < a or x >= b:
             return 0.0
-        i = self._index(x) + 1
-        return float((self.xs[:i] - self.mean) @ self.e[:i]) / self.s
+        i = x - a + 1
+        return float(np.einsum("i,i->", self.xs[:i] - self.mean, self.e[:i])) / self.s
 
     def sf_slope(self, x) -> float:
         """d/dtheta P(X >= x) = sum over y >= x of (y - E X) p_y, summed over that tail."""
-        if x <= self.xs[0] or x > self.xs[-1]:
+        a, b = self._ends
+        if x <= a or x > b:
             return 0.0
-        i = self._index(x)
-        return float((self.xs[i:] - self.mean) @ self.e[i:]) / self.s
+        i = x - a
+        return float(np.einsum("i,i->", self.xs[i:] - self.mean, self.e[i:])) / self.s
+
+
+class _Mirror(Distribution):
+    """The distribution of -X at theta, a view of ``source``, X's at -theta.
+
+    It computes nothing of its own: each tail is the source's opposite tail
+    at -x and each slope the source's opposite slope, negated, so both read
+    the same doubles. ``xs``, ``e``, ``logw`` and the value arrays are
+    reversed views, built when first read.
+    """
+
+    def __init__(self, source: Distribution, support: LatticeSupport, theta: float):
+        self.source, self.support, self.theta = source, support, theta
+        self.s, self.log_norm = source.s, source.log_norm
+
+    xs = cached_property(lambda self: -self.source.xs[::-1])
+    e = cached_property(lambda self: self.source.e[::-1])
+    logw = cached_property(lambda self: None if self.source.logw is None else self.source.logw[::-1])
+    pmf_values = cached_property(lambda self: self.source.pmf_values[::-1])
+    logpmf_values = cached_property(lambda self: self.source.logpmf_values[::-1])
+    mean = cached_property(lambda self: -self.source.mean)
+
+    def logpmf(self, x) -> float:
+        if x not in self.support:
+            raise OutOfSupport(f"x = {x} is not in the support")
+        return self.source.logpmf(-x)
+
+    def cdf(self, x) -> float:
+        return self.source.sf(-x)
+
+    def sf(self, x) -> float:
+        return self.source.cdf(-x)
+
+    def cdf_slope(self, x) -> float:
+        return -self.source.sf_slope(-x)
+
+    def sf_slope(self, x) -> float:
+        return -self.source.cdf_slope(-x)
 
 
 @dataclass(frozen=True)
@@ -354,8 +398,8 @@ class LatticeFamily:
     def distribution(self, theta: float) -> Distribution:
         """Tabulate the family at theta (extended values included).
 
-        A reflection turns its source's fresh distribution at -theta around in
-        place, so each tail is the source's opposite tail, bit for bit.
+        A reflection returns a view of its source's fresh distribution at
+        -theta, so each tail is the source's opposite tail, bit for bit.
         """
         if isinstance(theta, (int, np.integer)):
             theta = float(theta)
@@ -364,17 +408,13 @@ class LatticeFamily:
         source = self.__dict__.get("_source")
         if source is None:
             return self._tabulate(theta)
-        # e is copied: numpy's dot skips BLAS on a reversed view, doubling the slopes' cost
-        d = source._tabulate(-theta)
-        d.__dict__.update(support=self.support, theta=theta, xs=-d.xs[::-1], e=d.e[::-1].copy(),
-                          logw=None if d.logw is None else d.logw[::-1], _logw=self._logw)
-        return d
+        return _Mirror(source._tabulate(-theta), self.support, theta)
 
     def _tabulate(self, theta: float) -> Distribution:
         """The distribution at theta of a family that is no reflection."""
         a, b, gm = self._window(theta)
         if a == b:
-            return Distribution(self.support, theta, np.asarray([a]), 0.0, np.ones(1), 1.0)
+            return Distribution(self.support, theta, np.asarray([a], dtype=float), 0.0, np.ones(1), 1.0)
         first, span = self._span
         if not (first <= a and b < first + len(span)):
             # only an unbounded support's span can miss a window; it is replaced,
@@ -386,7 +426,7 @@ class LatticeFamily:
                 _check_concavity(a, stored[a - first : b - first + 1])
             self.__dict__["_span"] = (first, stored)
         logw = self._log_weights(a, b)
-        xs = np.arange(a, b + 1)
+        xs = np.arange(a, b + 1, dtype=float)
         e = theta * xs
         e += logw
         e -= gm

@@ -269,7 +269,7 @@ def per_theta_sums(family, grid, t_lo, t_hi, lengths):
     x0, coverage, expected = int(family.support.lo), [], []
     for eta in grid:
         d = family.distribution(eta)
-        i = d.xs - x0
+        i = d.xs.astype(int) - x0  # xs are floats
         pmf, i = d.pmf_values[i < len(t_lo)], i[i < len(t_lo)]
         coverage.append(pmf[(t_lo[i] <= eta) & (eta <= t_hi[i])].sum())
         if lengths is not None:

@@ -191,6 +191,20 @@ class TestOneCopyOfTheWeights:
         assert len(d.xs) > 30000
         assert kept <= 2.1 * window and peak <= 2.5 * window
 
+    def test_a_reflected_evaluation_keeps_no_copy(self):
+        # a view of its source's distribution: the same peak as the family's own
+        ref, theta = reflect(make_binomial(10**6).family), -math.log(0.3 / 0.7)
+        ref.distribution(theta)
+        tracemalloc.start()
+        try:
+            d = ref.distribution(theta)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        window = 8 * len(d.e)
+        assert len(d.e) > 30000
+        assert kept <= 2.1 * window and peak <= 2.5 * window
+
     @pytest.mark.parametrize("reflected", [False, True])
     def test_log_pmfs_read_the_store(self, reflected):
         fam = make_binomial(1000).family
@@ -558,12 +572,37 @@ class TestTailSums:
 
 
 def unwindowed(family, theta, top):
-    """(xs, cdf, sf) on support.lo..top: the same max-shifted sum with no window."""
+    """(xs, e) on support.lo..top: the same max-shifted terms with no window."""
     xs = np.arange(int(family.support.lo), top + 1)
     g = family.log_weight(xs.astype(float)) + theta * xs
-    e = np.exp(g - g.max())
-    pmf = e / e.sum()
-    return xs, np.minimum(np.cumsum(pmf), 1.0), np.minimum(np.cumsum(pmf[::-1])[::-1], 1.0)
+    return xs, np.exp(g - g.max())
+
+
+def fsum_tails(e):
+    """(cdf, sf) of the terms e at an index: each tail's sum over the total, all
+    from ``math.fsum``, so within 1.5 ulp of the exact ratio. The running sums
+    are carried as a correctly rounded head and the rounded remainder, which
+    keeps about 106 bits, and zero terms, which add nothing, are skipped."""
+    nz = np.flatnonzero(e)
+    a, terms = int(nz[0]), e[nz[0] : nz[-1] + 1].tolist()
+
+    def running(values):
+        out, head, rest = [0.0], 0.0, 0.0
+        for v in values:
+            new = math.fsum((head, rest, v))
+            head, rest = new, math.fsum((head, rest, v, -new))
+            out.append(head)
+        return out
+
+    up, down, total = running(terms), running(reversed(terms))[::-1], math.fsum(terms)
+    clip = lambda i: min(max(i - a, 0), len(terms))
+    return lambda i: up[clip(i + 1)] / total, lambda i: down[clip(i)] / total
+
+
+def assert_tail(got: float, want: float):
+    # a pairwise sum's rounding grows as log n; below 1e-290 the terms themselves
+    # lose digits to underflow, so the bound there is absolute
+    assert abs(got - want) <= 2e-15 * max(want, 1e-290), (got, want)
 
 
 WINDOW_CASES = [
@@ -586,19 +625,19 @@ class TestSummationWindow:
         else:
             lam = math.exp(theta)
             top = int(lam + 60.0 * math.sqrt(lam) + 2000)
-        xs, cum, tail = unwindowed(fam, theta, top)
+        xs, e = unwindowed(fam, theta, top)
+        cdf, sf = fsum_tails(e)
         a, b = int(d.xs[0]), int(d.xs[-1])
         picks = np.unique(np.concatenate([
             np.linspace(xs[0], xs[-1], 2001).astype(int),
             np.clip([a - 2, a - 1, a, a + 1, b - 1, b, b + 1, b + 2], xs[0], xs[-1]),
         ]))
         for x in picks:
-            i = x - xs[0]
-            assert d.cdf(int(x)) == pytest.approx(cum[i], rel=1e-13, abs=0.0)
-            assert d.sf(int(x)) == pytest.approx(tail[i], rel=1e-13, abs=0.0)
-        # below and above the window the full sums are exactly 0 and 1 - 0
-        assert cum[: a - xs[0]].sum() == 0.0
-        assert tail[b + 1 - xs[0] :].sum() == 0.0
+            i = int(x - xs[0])
+            assert_tail(d.cdf(int(x)), cdf(i))
+            assert_tail(d.sf(int(x)), sf(i))
+        # below and above the window the full sums add exact zeros
+        assert not e[: a - xs[0]].any() and not e[b + 1 - xs[0] :].any()
 
     def test_large_supports_are_cut(self):
         d = make_binomial(10**5).family.distribution(0.0)
@@ -608,8 +647,9 @@ class TestSummationWindow:
 
 
 class TestTailsOnDemand:
-    """cdf and sf sum only the part of the window they need, in the order of
-    a full cumulative sum, so they equal its entries bit for bit."""
+    """cdf and sf sum only the part of the window they need, each one pairwise
+    sum, so they keep the correctly rounded cumulative sums' digits to a few
+    ulps."""
 
     @pytest.mark.parametrize("model, thetas", [
         (make_binomial(1000), [-6.0, -1.5, 0.0, 0.7, 5.0]),
@@ -619,11 +659,11 @@ class TestTailsOnDemand:
     def test_tails_equal_full_cumulative_sums(self, model, thetas):
         for theta in thetas:
             d = model.family.distribution(theta)
-            cum = np.minimum(np.cumsum(d.pmf_values), 1.0)
-            tail = np.minimum(np.cumsum(d.pmf_values[::-1])[::-1], 1.0)
+            cdf, sf = fsum_tails(d.e)
             xs = [int(x) for x in d.xs]
-            assert [d.cdf(x) for x in xs[:-1]] == list(cum[:-1])
-            assert [d.sf(x) for x in xs[1:]] == list(tail[1:])
+            for i, x in enumerate(xs[:-1]):
+                assert_tail(d.cdf(x), cdf(i))
+                assert_tail(d.sf(x + 1), sf(i + 1))
             # the window ends keep their exact values
             assert d.cdf(xs[-1]) == 1.0 and d.sf(xs[0]) == 1.0
 

@@ -4,7 +4,8 @@
 The cases run the interval functions (Clopper-Pearson, both one-sided
 intervals, Sterne), the two exact bounds, ``exact_coverage``,
 ``length_table`` and the command line over binomial, Poisson, odds-ratio and
-three custom families, at alpha from 1e-15 to 0.9. Each line holds the case,
+three custom families, at alpha from 1e-15 to 0.9, and the tail p-values, the
+Sterne ends and p-value at infinite, overflowing and zero parameters. Each line holds the case,
 the repr of every output field, the name of the typed error it raised (or null)
 and the number of ``LatticeFamily.distribution`` calls it made. Two
 checkouts compare by diff:
@@ -41,7 +42,8 @@ from scipy.special import digamma, gammaln
 
 from exactci import (ExactCIError, LatticeFamily, LatticeSupport, clopper_pearson,
                      exact_coverage, length_table, lower_bound, make_binomial, make_odds_ratio,
-                     make_poisson, one_sided_interval, sterne_interval, upper_bound)
+                     make_poisson, one_sided_interval, pvalue_left, pvalue_right, pvalue_two,
+                     sterne_interval, sterne_lower, sterne_pvalue, sterne_upper, upper_bound)
 from exactci.cli import run
 
 ALPHAS = (1e-15, 1e-6, 0.01, 0.05, 0.5, 0.9)
@@ -103,6 +105,29 @@ AUDITS = [
     for m in ("sterne", "clopper_pearson", "upper")
 ] + [
     ("poisson", m, 0.05, np.linspace(0.5, 8.0, 16)) for m in ("sterne", "clopper_pearson")
+]
+
+# canonical parameters at and past the ends of the float range: point masses,
+# summands theta x that overflow, and the plateau of symmetric weights
+THETAS = (-math.inf, -1e308, 0.0, 1e308, math.inf)
+PVALUES = {"pvalue_left": pvalue_left, "pvalue_right": pvalue_right, "pvalue_two": pvalue_two}
+PVALUE_OUTCOMES = {"binomial 20": (0, 5, 20), "oddsratio 49/317/245": (0, 20, 49)}
+
+# (case, call on the model) pairs for paths the grids above miss
+EXTRA = [
+    (["binomial 20", "exact_coverage", "sterne", 0.05, "extended thetas"],
+     lambda m: exact_coverage(m, "sterne", 0.05, THETAS)),
+    # windows that widen across a block of grid rows
+    (["poisson", "exact_coverage", "clopper_pearson", 0.05, "lambda 0.5 to 200"],
+     lambda m: exact_coverage(m, "cp", 0.05, [m.from_natural(v) for v in np.linspace(0.5, 200.0, 41)])),
+    (["binomial 20", "sterne", 10, 0.05, "delta 1e-17"],
+     lambda m: sterne_interval(m, 10, 0.05, delta=1e-17)),
+    (["binomial 20", "upper", 5, 0.95], lambda m: one_sided_interval(m, 5, 0.95, "upper")),
+    (["binomial 20", "sterne_upper", 5, 0.05], lambda m: sterne_upper(m, 5, 0.05)),
+    (["binomial 20", "sterne_lower", 5, 0.05], lambda m: sterne_lower(m, 5, 0.05)),
+] + [
+    (["binomial 20", "sterne_pvalue", 5, t], lambda m, t=t: sterne_pvalue(m, 5, t))
+    for t in (-math.inf, math.inf)
 ]
 
 LENGTHS = [
@@ -226,6 +251,14 @@ def cases():
             mdl = model(n)
             return exact_coverage(mdl, m, a, [mdl.from_natural(float(v)) for v in nats])
         yield [name, "exact_coverage", method, alpha], audit
+    for name, outcomes in PVALUE_OUTCOMES.items():
+        for x in outcomes:
+            for t in THETAS:
+                for fname, fn in PVALUES.items():
+                    yield ([name, fname, x, t],
+                           lambda f=fn, n=name, x=x, t=t: f(model(n), x, t))
+    for case, call in EXTRA:
+        yield case, lambda n=case[0], call=call: call(model(n))
     for name, alpha, xs in LENGTHS:
         yield ([name, "length_table", alpha],
                lambda n=name, a=alpha, xs=xs: length_table(

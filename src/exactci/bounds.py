@@ -2,16 +2,16 @@
 
 The upper bound b_alpha(x) is the unique theta with F_theta(x) = alpha
 (+inf when x is the support maximum); the lower bound a_alpha(x) solves
-P_theta(X >= x) = alpha (-inf when x is the support minimum). Both come from
-a bracketed search on theta: F_theta(x) is continuous and strictly decreasing
-in theta, and log F_theta(x) is concave with slope E[X | X <= x] - E[X], so
-one Newton step from the plateau brackets the root and ``_bisect`` shrinks
-the bracket by safeguarded Newton steps. ``_bisect`` also ends every Sterne
-endpoint that is not a jump. Lower bounds are solved as upper bounds of the
-reflected family, so both tails are summed from their far end and keep their
-digits at tiny alpha. Each solve returns the tail it certified at its end,
-and the intervals report that tail as the endpoint p-value instead of
-evaluating the end again.
+P_theta(X >= x) = alpha (-inf when x is the support minimum). One solve
+gives both, the infinite end included: F_theta(x) is continuous and strictly
+decreasing in theta, and log F_theta(x) is concave with slope
+E[X | X <= x] - E[X], so one Newton step from the plateau brackets the root
+and ``_bisect`` shrinks the bracket by safeguarded Newton steps. ``_bisect``
+also ends every Sterne endpoint that is not a jump. Lower bounds are solved
+as upper bounds of the reflected family, so both tails are summed from their
+far end and keep their digits at tiny alpha. Each solve returns the tail it
+certified at its end, and the intervals report that tail as the endpoint
+p-value instead of evaluating the end again.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ def _bisect(f, lo, hi, f_lo, f_hi, target, tol, gap, slope=None):
 def _solve_decreasing_cdf(family: LatticeFamily, x: int, target: float) -> tuple[float, float]:
     """Solve F_theta(x) = target in theta; F is strictly decreasing in theta.
 
-    x must lie below the support maximum. log F is concave in theta (its
+    At max(X) it returns (+inf, 1.0). Below, log F is concave in theta (its
     second derivative is Var(X | X <= x) - Var(X) <= 0), so one Newton step
     on it from the lower end of the plateau of x lands where F <= target and
     closes the bracket. Without that step (F is 1 or below the target there)
@@ -140,6 +140,8 @@ def _solve_decreasing_cdf(family: LatticeFamily, x: int, target: float) -> tuple
     if the search returns it; a growth probe that fails is retried half as far
     from the last end, until that is no step.
     """
+    if x == family.support.hi:
+        return math.inf, 1.0
     lo, hi = plateau(family, x)
     if not math.isfinite(lo):
         lo = hi - 1.0
@@ -191,17 +193,10 @@ def _solve_decreasing_cdf(family: LatticeFamily, x: int, target: float) -> tuple
     return hi, f_hi
 
 
-def _upper_end(family: LatticeFamily, x: int, alpha: float) -> tuple[float, float]:
-    """(b_alpha(x), F(x) at it) for a checked x; (+inf, 1.0) at the support maximum."""
-    if x == family.support.hi:
-        return math.inf, 1.0
-    return _solve_decreasing_cdf(family, x, alpha)
-
-
 def _lower_end(family: LatticeFamily, x: int, alpha: float) -> tuple[float, float]:
     """(a_alpha(x), P(X >= x) at it) for a checked x; (-inf, 1.0) at the support minimum."""
     # P_theta(X >= x) = alpha is the cdf equation of -X at -x in the reflection
-    b, tail = _upper_end(reflect(family), -x, alpha)
+    b, tail = _solve_decreasing_cdf(reflect(family), -x, alpha)
     return -b, tail
 
 
@@ -209,7 +204,7 @@ def upper_bound(fam_or_model, x: int, alpha: float) -> float:
     """Exact upper confidence bound: the theta with F_theta(x) = alpha."""
     family = _unpack(fam_or_model)[0]
     alpha = _check_alpha(alpha)
-    return _upper_end(family, _check_x(family, x), alpha)[0]
+    return _solve_decreasing_cdf(family, _check_x(family, x), alpha)[0]
 
 
 def lower_bound(fam_or_model, x: int, alpha: float) -> float:
@@ -254,7 +249,7 @@ def clopper_pearson(fam_or_model, x: int, alpha: float) -> ConfidenceInterval:
     alpha = _check_alpha(alpha)
     x = _check_x(family, x)
     a, p_a = _lower_end(family, x, alpha / 2.0)
-    b, p_b = _upper_end(family, x, alpha / 2.0)
+    b, p_b = _solve_decreasing_cdf(family, x, alpha / 2.0)
     # each certified tail, at most alpha/2 < 1/2, is the smaller of the two tails
     # at its end, as the other one is at least 1 - alpha/2
     return _ci("clopper_pearson", alpha, to_natural, a, b, min(1.0, 2.0 * p_a),
@@ -276,6 +271,6 @@ def one_sided_interval(fam_or_model, x: int, alpha: float, side: str) -> Confide
         (a, p_a), b = _lower_end(family, x, alpha), math.inf
         p_b = 1.0 if family.support.bounded_above else None
     else:
-        a, (b, p_b) = -math.inf, _upper_end(family, x, alpha)
+        a, (b, p_b) = -math.inf, _solve_decreasing_cdf(family, x, alpha)
         p_a = 1.0 if family.support.bounded_below else None
     return _ci(side, alpha, to_natural, a, b, p_a, p_b)

@@ -11,10 +11,12 @@ Exit status: 0 on success, 2 for argument errors, 1 for computation errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 
+from .bounds import ConfidenceInterval
 from .coverage import _interval, exact_coverage, write_csv
 from .errors import (BadAlpha, BadDelta, BadGrid, BadN, EmptySupport, ExactCIError,
                      OutOfSupport)
@@ -25,8 +27,11 @@ _ARGUMENT_ERRORS = (BadAlpha, BadDelta, BadGrid, BadN, EmptySupport, OutOfSuppor
 
 METHOD_CHOICES = ("sterne", "cp", "lower", "upper", "all")
 
-_MODEL_ARGS = {"binomial": ("n", "x"), "poisson": ("x",), "oddsratio": ("y1", "n1", "y2", "n2")}
-_ARG_HELP = {"x": "observed count", "y1": "events in group 1", "y2": "events in group 2"}
+# each model's flags for one outcome, then for an audit
+_MODEL_ARGS = {"binomial": (("n", "x"), ("n",)), "poisson": (("x",), ()),
+               "oddsratio": (("y1", "n1", "y2", "n2"), ("n1", "n2", "s"))}
+_ARG_HELP = {"x": "observed count", "y1": "events in group 1", "y2": "events in group 2",
+             "s": "conditioning total y1 + y2"}
 
 
 def _fmt(v: float) -> str:
@@ -54,9 +59,9 @@ def _add_curve(p: argparse.ArgumentParser, required: bool) -> None:
     p.add_argument("--points", type=int, default=500, help="curve sample count")
 
 
-def _add_model_args(p: argparse.ArgumentParser, kinds, required: bool) -> None:
-    """One integer flag per model argument of ``kinds``, each declared once."""
-    for name in dict.fromkeys(a for kind in kinds for a in _MODEL_ARGS[kind]):
+def _add_model_args(p: argparse.ArgumentParser, kinds, audit: bool, required: bool) -> None:
+    """One integer flag per outcome (or audit) argument of ``kinds``, each declared once."""
+    for name in dict.fromkeys(a for kind in kinds for a in _MODEL_ARGS[kind][audit]):
         p.add_argument(f"--{name}", type=int, required=required, help=_ARG_HELP.get(name))
 
 
@@ -73,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("oddsratio", "odds ratio of a 2x2 table"),
     ):
         p = sub.add_parser(kind, help=helptext)
-        _add_model_args(p, [kind], required=True)
+        _add_model_args(p, [kind], audit=False, required=True)
         _add_level(p)
         p.add_argument("--method", choices=METHOD_CHOICES, default="all")
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
@@ -81,16 +86,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curve", help="two-sided p-value curve as CSV")
     p.add_argument("--model", choices=tuple(_MODEL_ARGS), required=True)
-    _add_model_args(p, _MODEL_ARGS, required=False)
+    _add_model_args(p, _MODEL_ARGS, audit=False, required=False)
     _add_curve(p, required=True)
     _add_level(p)
 
     p = sub.add_parser("audit", help="exact coverage table as CSV")
     p.add_argument("--model", choices=tuple(_MODEL_ARGS), required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--n1", type=int)
-    p.add_argument("--n2", type=int)
-    p.add_argument("--s", type=int, help="conditioning total y1 + y2")
+    _add_model_args(p, _MODEL_ARGS, audit=True, required=False)
     p.add_argument("--method", choices=METHOD_CHOICES[:-1], default="sterne")
     _add_level(p)
     p.add_argument("--from", dest="grid_from", type=float, required=True,
@@ -105,22 +107,17 @@ def _build_model(args) -> tuple:
     """The model named on the command line and the observed x (None for an audit)."""
     audit = args.command == "audit"
     kind = args.model if args.command in ("curve", "audit") else args.command
+    missing = [f"--{a}" for a in _MODEL_ARGS[kind][audit] if getattr(args, a) is None]
+    if missing:  # only curve and audit leave model flags to this check
+        raise BadN(f"{args.command} --model {kind} needs {' '.join(missing)}")
     x = None if audit else getattr(args, "x", None)
     if kind == "binomial":
-        if args.n is None or (x is None and not audit):
-            raise BadN("binomial needs --n" + ("" if audit else " and --x"))
         model = make_binomial(args.n)
     elif kind == "poisson":
-        if x is None and not audit:
-            raise OutOfSupport("poisson needs --x")
         model = make_poisson()
     elif audit:
-        if None in (args.n1, args.n2, args.s):
-            raise BadN("audit --model oddsratio needs --n1 --n2 --s")
         model = make_odds_ratio(args.n1, args.n2, args.s)
     else:
-        if None in (args.y1, args.n1, args.y2, args.n2):
-            raise BadN("oddsratio needs --y1 --n1 --y2 --n2")
         table = TwoByTwoTable(y1=args.y1, n1=args.n1, y2=args.y2, n2=args.n2)
         model, x = make_odds_ratio(table.n1, table.n2, table.s), table.x
     if audit:
@@ -130,18 +127,9 @@ def _build_model(args) -> tuple:
     return model, int(x)
 
 
-def _intervals(model, x, args):
-    methods = METHOD_CHOICES[:-1] if args.method == "all" else (args.method,)
-    return [_interval(model, m, x, args.alpha, args.delta) for m in methods]
-
-
-def _model_dict(model) -> dict:
-    return {"kind": model.kind, **model.params}
-
-
 def _interval_record(model, x, ci) -> dict:
     return {
-        "model": _model_dict(model),
+        "model": {"kind": model.kind, **model.params},
         "x": x,
         "alpha": ci.alpha,
         "method": ci.method,
@@ -153,21 +141,17 @@ def _interval_record(model, x, ci) -> dict:
 
 
 def _print_intervals(model, x, args, out=sys.stdout) -> None:
-    cis = _intervals(model, x, args)
+    methods = METHOD_CHOICES[:-1] if args.method == "all" else (args.method,)
+    cis = [_interval(model, m, x, args.alpha, args.delta) for m in methods]
     if args.format == "json":
         records = [_interval_record(model, x, ci) for ci in cis]
         out.write(json.dumps(records[0] if len(records) == 1 else records, indent=2))
         out.write("\n")
         return
     if args.format == "csv":
-        out.write("method,alpha,theta_lo,theta_hi,natural_lo,natural_hi,"
-                  "pvalue_lo,pvalue_hi,delta\n")
-        for ci in cis:
-            cells = [ci.method, repr(ci.alpha), repr(ci.theta_lo), repr(ci.theta_hi),
-                     repr(ci.natural_lo), repr(ci.natural_hi),
-                     "" if ci.pvalue_lo is None else repr(ci.pvalue_lo),
-                     "" if ci.pvalue_hi is None else repr(ci.pvalue_hi),
-                     "" if ci.delta is None else repr(ci.delta)]
+        names = [f.name for f in dataclasses.fields(ConfidenceInterval)]
+        for row in [names] + [[getattr(ci, name) for name in names] for ci in cis]:
+            cells = (c if isinstance(c, str) else "" if c is None else repr(c) for c in row)
             out.write(",".join(cells) + "\n")
         return
     label = model.natural_label

@@ -164,7 +164,8 @@ def _grid_sums(family, grid: list, t_lo, t_hi, lengths):
                 if (j - i) * (b - a + 1) > 2 * _BLOCK:  # the windows widen across the block
                     j = i + max(1, _BLOCK // (b - a + 1))
                     b = family._window(grid[j - 1])[1]
-            p = np.multiply.outer(grid[i:j], np.arange(a, b + 1))
+            with np.errstate(over="ignore"):  # theta x of a narrow row past its window: exact zeros
+                p = np.multiply.outer(grid[i:j], np.arange(a, b + 1))
             p += family._log_weights(a, b)
             p -= p.max(axis=1, keepdims=True)
             np.exp(p, out=p)

@@ -234,8 +234,8 @@ class _Mirror(Distribution):
 
     It computes nothing of its own: each tail is the source's opposite tail
     at -x and each slope the source's opposite slope, negated, so both read
-    the same doubles. ``xs``, ``e``, ``logw`` and the value arrays are
-    reversed views, built when first read.
+    the same doubles. ``xs``, ``e`` and ``logw`` are reversed views, built when
+    first read; -theta times -x is exact, so the value arrays are the source's reversed.
     """
 
     def __init__(self, source: Distribution, support: LatticeSupport, theta: float):
@@ -245,8 +245,6 @@ class _Mirror(Distribution):
     xs = cached_property(lambda self: -self.source.xs[::-1])
     e = cached_property(lambda self: self.source.e[::-1])
     logw = cached_property(lambda self: None if self.source.logw is None else self.source.logw[::-1])
-    pmf_values = cached_property(lambda self: self.source.pmf_values[::-1])
-    logpmf_values = cached_property(lambda self: self.source.logpmf_values[::-1])
     mean = cached_property(lambda self: -self.source.mean)
 
     def logpmf(self, x) -> float:

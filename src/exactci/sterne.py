@@ -118,12 +118,12 @@ def sterne_pvalue(fam_or_model, x: int, eta: float) -> PValueEvaluation:
     if t_lo <= eta <= t_hi:
         return PValueEvaluation(1.0, x, eta == t_lo or eta == t_hi)
 
+    d = family.distribution(eta)  # a nan eta raises here, not after a walk of the piece search
     # right of the plateau the piece search runs over k > x, left of it on the reflection, whose
     # theta_{-k,-x} is exactly -theta_{k,x}; ``seen`` holds the plateau edge, so none is read twice
     fam, s, edge = (family, 1, t_hi) if eta > t_hi else (reflect(family), -1, -t_lo)
     seen = {s * x + 1: edge}
     k = s * _first_jump(fam, s * x, s * eta, seen=seen)
-    d = family.distribution(eta)
     value = _two_tails(d, k, x) if k > x else _two_tails(d, x, k)
     return PValueEvaluation(value, k, seen[s * k] == s * eta)
 
@@ -214,8 +214,8 @@ def stage_one(family: LatticeFamily, x: int, alpha: float, start: int | None = N
             return None
         return min(math.floor(min(t, hi, cap)) + (j >= alpha), hi)
 
-    # entering the Newton loop at start instead saved 1.8 % of the sweeps' evaluations
-    # but lost 11 of 14 alternating audit benchmark pairs on p50 latency (2-core machine)
+    # the gallop's probes read no slopes: entering the Newton loop at start instead took 64677
+    # digest evaluations, not 64666, and audit rounds 1.04-1.14x as long (ab_rounds.py, 2 cores)
     if start is not None:
         s = max(start, x + 1)
         if not below(s + 1):
@@ -365,16 +365,13 @@ def jump_limits(fam_or_model, x: int, k: int) -> tuple[float, float, float]:
     """(theta_{k,x}, left limit, right limit) of pi(x, .) at the jump.
 
     For k > x the left limit equals the value at the point; for k < x the
-    right limit does.
+    right limit does, read as the jump at -k of the reflection at -theta.
     """
     family, _ = _unpack(fam_or_model)
     x = _check_x(family, x)
     t = special_param(family, x, k)
-    k, d = int(k), family.distribution(t)
-    if k > x:
-        left = _two_tails(d, k, x) if k > x + 1 else 1.0
-        right = _two_tails(d, k + 1, x)
-    else:
-        left = _two_tails(d, x, k - 1)
-        right = _two_tails(d, x, k) if k < x - 1 else 1.0
-    return t, left, right
+    s = 1 if k > x else -1
+    fam, x, k = (family, x, int(k)) if s > 0 else (reflect(family), -x, -int(k))
+    d = fam.distribution(s * t)
+    left, right = (_two_tails(d, k, x) if k > x + 1 else 1.0), _two_tails(d, k + 1, x)
+    return (t, left, right) if s > 0 else (t, right, left)

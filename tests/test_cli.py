@@ -4,6 +4,7 @@ Everything goes through ``run(argv, out)`` with a StringIO sink, so these
 tests see exactly what a shell user would see, exit status included.
 """
 
+import dataclasses
 import io
 import json
 import math
@@ -12,6 +13,8 @@ import pathlib
 import subprocess
 import sys
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +22,7 @@ from hypothesis import strategies as st
 
 import exactci.cli
 import exactci.sterne
-from exactci.bounds import clopper_pearson
+from exactci.bounds import ConfidenceInterval, clopper_pearson
 from exactci.cli import run
 from exactci.family import special_param
 from exactci.models import make_binomial, make_odds_ratio, make_poisson
@@ -115,6 +118,13 @@ class TestCsvOutput:
         assert float(row[2]) == ci.theta_lo
         assert float(row[5]) == ci.natural_hi
         assert row[8] == ""  # no bisection tolerance for the exact-tail method
+
+    def test_header_is_the_interval_fields(self):
+        code, out = run_cli("binomial", "--n", "20", "--x", "5", "--format", "csv")
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert header == ",".join(f.name for f in dataclasses.fields(ConfidenceInterval))
+        assert [len(row) for row in rows] == [9] * 4
 
 
 class TestCurve:
@@ -314,6 +324,38 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert capsys.readouterr().err.startswith("error: BadAlpha:")
+
+    # every command and model with its flags and their values; curve and audit
+    # leave the model's flags to the model check, the others to argparse
+    COMPLETE = [
+        ["binomial", "--n", "20", "--x", "5"],
+        ["poisson", "--x", "3"],
+        ["oddsratio", "--y1", "42", "--n1", "49", "--y2", "203", "--n2", "317"],
+        ["curve", "--model", "binomial", "--n", "20", "--x", "5", "--from", "0.2", "--to", "0.9"],
+        ["curve", "--model", "poisson", "--x", "3", "--from", "0.5", "--to", "9"],
+        ["curve", "--model", "oddsratio", "--y1", "42", "--n1", "49", "--y2", "203", "--n2", "317",
+         "--from", "0.5", "--to", "20"],
+        ["audit", "--model", "binomial", "--n", "20", "--from", "0.2", "--to", "0.9"],
+        ["audit", "--model", "oddsratio", "--n1", "49", "--n2", "317", "--s", "245",
+         "--from", "0.5", "--to", "20"],
+    ]
+    MISSING = [(argv[:i] + argv[i + 2:], argv[i]) for argv in COMPLETE
+               for i in range(len(argv)) if argv[i] not in ("--model", "--from", "--to")
+               and argv[i].startswith("--")]
+
+    @pytest.mark.parametrize("argv", COMPLETE)
+    def test_complete_model_flags_run(self, argv):
+        extra = ["--points", "3"] if argv[0] in ("curve", "audit") else ["--method", "cp"]
+        assert run_cli(*argv, *extra)[0] == 0
+
+    @pytest.mark.parametrize("argv,flag", MISSING)
+    def test_a_missing_model_flag_exits_2_and_is_named(self, capsys, argv, flag):
+        try:
+            code, out = run_cli(*argv)
+        except SystemExit as e:  # argparse's own check of a required flag
+            code, out = e.code, ""
+        assert (code, out) == (2, "")
+        assert re.search(rf"{flag}\b", capsys.readouterr().err)
 
     def test_missing_required_argument_exits_via_argparse(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
 import io
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -360,6 +361,16 @@ class TestBlockedGridSums:
         calls = count_evaluations(monkeypatch)
         _sweep(family, range(201), 0.05, DEFAULT_DELTA)
         assert len(calls) <= 750
+
+
+    def test_a_narrow_row_in_a_wide_block_warns_of_no_overflow(self):
+        # theta = -1e308 has a two-point window but shares a block with theta = 0, so
+        # theta x overflows to -inf past its window, where its terms are exact zeros
+        model = make_binomial(20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = exact_coverage(model, "sterne", 0.05, [-1e308, 0.0])
+        assert report.coverage[0] == exact_coverage(model, "sterne", 0.05, [-1e308]).coverage[0]
 
 
 class TestCsv:

@@ -428,6 +428,15 @@ class TestReflect:
                 if y in fam.support:
                     assert r.pmf(-y) == d.pmf(y)
 
+    @pytest.mark.parametrize("name", sorted(REFLECTED))
+    def test_reflected_value_arrays_are_the_family_reversed(self, name):
+        # the base formulas on the reversed views: -theta times -x is theta x, bit for bit
+        fam, xs = REFLECTED[name]()
+        for t in [special_param(fam, x, x + 1) for x in xs] + [-math.inf]:
+            d, r = fam.distribution(t), reflect(fam).distribution(-t)
+            assert r.pmf_values.tobytes() == d.pmf_values[::-1].tobytes()
+            assert r.logpmf_values.tobytes() == d.logpmf_values[::-1].tobytes()
+
     def test_reflected_evaluation_is_one_call_on_the_family(self, monkeypatch):
         # the reflection runs no window search of its own and calls the public
         # evaluator once, so evaluation counts do not double

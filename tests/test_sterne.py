@@ -217,6 +217,46 @@ class TestJumpStructure:
             # at a jump the oracle's tie test f(k) <= f(x) is decided by rounding
             assert ev.value == pytest.approx(sterne_pvalue_oracle(bin20, 5, eta), rel=1e-12)
 
+    @pytest.mark.parametrize("name,x,ks", [
+        ("binomial 20", 5, range(-1, 5)),
+        ("binomial 20", 20, range(-1, 20)),
+        ("oddsratio 49/317/245", 20, range(-1, 20)),
+        ("poisson", 3, range(-1, 3)),
+        ("poisson", 40, range(-1, 40)),
+        ("reflected poisson", -3, range(-60, -3)),
+        ("reflected poisson", 0, range(-30, 0)),
+    ])
+    def test_jump_limits_below_x_equal_the_mirrored_sums(self, name, x, ks):
+        family = {"binomial 20": lambda: make_binomial(20).family,
+                  "oddsratio 49/317/245": lambda: make_odds_ratio(49, 317, 245).family,
+                  "poisson": lambda: make_poisson().family,
+                  "reflected poisson": lambda: reflect(make_poisson().family)}[name]()
+
+        def mirrored(k):
+            # the limits summed on the family itself, each as P(X >= x) + F(j)
+            t = special_param(family, x, k)
+            d = family.distribution(t)
+            left = min(1.0, max(0.0, d.sf(x) + d.cdf(k - 1)))
+            right = min(1.0, max(0.0, d.sf(x) + d.cdf(k))) if k < x - 1 else 1.0
+            return t, left, right
+
+        for k in ks:  # the sentinel lo - 1 and the plateau edge x - 1 included
+            assert jump_limits(family, x, k) == mirrored(k), k
+
+    @pytest.mark.parametrize("family,x", [
+        (lambda: reflect(make_poisson().family), -3),
+        (lambda: LatticeFamily(LatticeSupport(-math.inf, 0), lambda xs: -0.01 * xs**2), -3),
+        (lambda: make_binomial(20).family, 5),
+    ], ids=["reflected poisson", "quadratic below 0", "binomial 20"])
+    def test_nan_eta_raises_before_the_piece_search(self, monkeypatch, family, x):
+        # the evaluator's error, at once: no piece search walks the support with a nan
+        family, reads, read = family(), [], exactci.sterne.special_param
+        monkeypatch.setattr("exactci.sterne.special_param", lambda *a: reads.append(a) or read(*a))
+        with pytest.raises(ValueError, match="theta must be a float") as err:
+            sterne_pvalue(family, x, math.nan)
+        assert type(err.value) is ValueError
+        assert len(reads) == 2  # the plateau's two edges
+
     def test_jump_limits_at_plateau_edges(self, bin20):
         _, left, right = jump_limits(bin20, 5, 6)
         assert left == 1.0

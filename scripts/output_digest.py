@@ -4,11 +4,11 @@
 The cases run the interval functions (Clopper-Pearson, both one-sided
 intervals, Sterne), the two exact bounds, ``exact_coverage``,
 ``length_table`` and the command line over binomial, Poisson, odds-ratio and
-three custom families, at alpha from 1e-15 to 0.9, and the tail p-values, the
-Sterne ends and p-value at infinite, overflowing and zero parameters. Each line holds the case,
-the repr of every output field, the name of the typed error it raised (or null)
-and the number of ``LatticeFamily.distribution`` calls it made. Two
-checkouts compare by diff:
+three custom families, at alpha from 1e-15 to 0.9, and the tail p-values,
+Sterne ends and Sterne p-value at infinite, overflowing and zero parameters.
+Each line holds the case, the repr of every output field, the name of the
+typed error it raised (or null) and the number of
+``LatticeFamily.distribution`` calls it made. Two checkouts compare by diff:
 
     PYTHONPATH=src python scripts/output_digest.py > new.jsonl
     PYTHONPATH=../old/src python scripts/output_digest.py > old.jsonl
@@ -119,7 +119,8 @@ EXTRA = [
      lambda m: exact_coverage(m, "sterne", 0.05, THETAS)),
     # windows that widen across a block of grid rows
     (["poisson", "exact_coverage", "clopper_pearson", 0.05, "lambda 0.5 to 200"],
-     lambda m: exact_coverage(m, "cp", 0.05, [m.from_natural(v) for v in np.linspace(0.5, 200.0, 41)])),
+     lambda m: exact_coverage(m, "cp", 0.05,
+                              [m.from_natural(v) for v in np.linspace(0.5, 200.0, 41)])),
     (["binomial 20", "sterne", 10, 0.05, "delta 1e-17"],
      lambda m: sterne_interval(m, 10, 0.05, delta=1e-17)),
     (["binomial 20", "upper", 5, 0.95], lambda m: one_sided_interval(m, 5, 0.95, "upper")),

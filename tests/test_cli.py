@@ -10,10 +10,9 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
-
-import re
 
 import numpy as np
 import pytest

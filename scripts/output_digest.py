@@ -23,7 +23,8 @@ how many numbers moved and by how much relative at most, and any change of
 error name, of a number to or from infinity or nan, of the text around the
 numbers or of the evaluation count, then a summary per field. It exits with
 status 1 when any case moved, appeared or vanished, or changed its error or
-evaluation count, and 0 otherwise, so "bit-identical" is its exit status:
+evaluation count, and 0 otherwise, so "bit-identical" is its exit status. A
+digest that holds a case twice is refused with status 2 and the case named:
 
     python scripts/output_digest.py --compare old.jsonl new.jsonl
 """
@@ -307,10 +308,17 @@ def _moves(old: str | None, new: str | None) -> tuple[int, float, list[str]]:
 
 def compare(old_path: str, new_path: str, out=sys.stdout) -> int:
     """Print the moves between two digests, case by case, then per field; return
-    the exit status, 1 if any case moved, appeared or vanished, else 0."""
+    the exit status, 1 if any case moved, appeared or vanished, else 0. A case
+    that appears twice in one digest raises ValueError naming it."""
     def read(path):
+        lines = {}
         with open(path) as fh:
-            return {json.dumps(line["case"]): line for line in map(json.loads, fh)}
+            for line in map(json.loads, fh):
+                key = json.dumps(line["case"])
+                if key in lines:
+                    raise ValueError(f"{path}: case {key} appears twice")
+                lines[key] = line
+        return lines
 
     old, new = read(old_path), read(new_path)
     fields, cases = {}, 0
@@ -379,6 +387,9 @@ if __name__ == "__main__":
                         help="compare two digest files instead of printing one")
     args = parser.parse_args()
     if args.compare:
-        sys.exit(compare(*args.compare))
+        try:
+            sys.exit(compare(*args.compare))
+        except ValueError as e:  # a repeated case, or a line that is no JSON
+            parser.error(str(e))
     else:
         main()

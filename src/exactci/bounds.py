@@ -20,8 +20,8 @@ import math
 import numbers
 from dataclasses import dataclass
 
-from .errors import BadAlpha, BadDelta, DivergentSearch, OutOfSupport, UnboundedEnumeration
-from .family import LatticeFamily, plateau, reflect
+from .errors import BadAlpha, BadDelta, DivergentSearch, UnboundedEnumeration
+from .family import LatticeFamily, _check_x, plateau, reflect
 from .models import Model
 
 THETA_TOL = 1e-10
@@ -49,11 +49,14 @@ def _check_delta(delta) -> float:
     return float(delta)
 
 
-def _check_x(family: LatticeFamily, x) -> int:
-    """x as an int; non-integers, bools and points off the support raise."""
-    if x not in family.support:
-        raise OutOfSupport(f"x = {x} is not in the support")
-    return int(x)
+def _checked(fam_or_model, x, *levels) -> tuple:
+    """(family, to_natural, x[, alpha[, delta]]), the gate of every public entry with an outcome:
+    ``_unpack``, then ``_check_x``, ``_check_alpha`` and ``_check_delta``, in that order."""
+    family, to_natural = _unpack(fam_or_model)
+    x = _check_x(family, x)
+    if not levels:
+        return family, to_natural, x
+    return (family, to_natural, x, _check_alpha(levels[0]), *map(_check_delta, levels[1:]))
 
 
 @dataclass(frozen=True)
@@ -202,36 +205,31 @@ def _lower_end(family: LatticeFamily, x: int, alpha: float) -> tuple[float, floa
 
 def upper_bound(fam_or_model, x: int, alpha: float) -> float:
     """Exact upper confidence bound: the theta with F_theta(x) = alpha."""
-    family = _unpack(fam_or_model)[0]
-    alpha = _check_alpha(alpha)
-    return _solve_decreasing_cdf(family, _check_x(family, x), alpha)[0]
+    family, _, x, alpha = _checked(fam_or_model, x, alpha)
+    return _solve_decreasing_cdf(family, x, alpha)[0]
 
 
 def lower_bound(fam_or_model, x: int, alpha: float) -> float:
     """Exact lower confidence bound: the theta with P_theta(X >= x) = alpha."""
-    family = _unpack(fam_or_model)[0]
-    alpha = _check_alpha(alpha)
-    return _lower_end(family, _check_x(family, x), alpha)[0]
+    family, _, x, alpha = _checked(fam_or_model, x, alpha)
+    return _lower_end(family, x, alpha)[0]
 
 
 def pvalue_left(fam_or_model, x: int, theta: float) -> float:
     """P_theta(X <= x), the left tail at the observed outcome."""
-    family = _unpack(fam_or_model)[0]
-    x = _check_x(family, x)
+    family, _, x = _checked(fam_or_model, x)
     return family.distribution(theta).cdf(x)
 
 
 def pvalue_right(fam_or_model, x: int, theta: float) -> float:
     """P_theta(X >= x), the right tail at the observed outcome."""
-    family = _unpack(fam_or_model)[0]
-    x = _check_x(family, x)
+    family, _, x = _checked(fam_or_model, x)
     return family.distribution(theta).sf(x)
 
 
 def pvalue_two(fam_or_model, x: int, theta: float) -> float:
     """Twice the smaller tail, capped at 1; both tails come from one evaluation."""
-    family = _unpack(fam_or_model)[0]
-    x = _check_x(family, x)
+    family, _, x = _checked(fam_or_model, x)
     d = family.distribution(theta)
     return min(1.0, 2.0 * min(d.cdf(x), d.sf(x)))
 
@@ -245,9 +243,7 @@ def _ci(method: str, alpha: float, to_natural, lo: float, hi: float, p_lo, p_hi,
 
 def clopper_pearson(fam_or_model, x: int, alpha: float) -> ConfidenceInterval:
     """Equal-tail exact interval [a_{alpha/2}(x), b_{alpha/2}(x)]."""
-    family, to_natural = _unpack(fam_or_model)
-    alpha = _check_alpha(alpha)
-    x = _check_x(family, x)
+    family, to_natural, x, alpha = _checked(fam_or_model, x, alpha)
     a, p_a = _lower_end(family, x, alpha / 2.0)
     b, p_b = _solve_decreasing_cdf(family, x, alpha / 2.0)
     # each certified tail, at most alpha/2 < 1/2, is the smaller of the two tails
@@ -262,11 +258,9 @@ def one_sided_interval(fam_or_model, x: int, alpha: float, side: str) -> Confide
     The finite end carries the tail its solve certified; the open end carries
     1.0 where that side of the support is bounded and None where it is not.
     """
-    family, to_natural = _unpack(fam_or_model)
-    alpha = _check_alpha(alpha)
+    family, to_natural, x, alpha = _checked(fam_or_model, x, alpha)
     if side not in ("lower", "upper"):
         raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
-    x = _check_x(family, x)
     if side == "lower":
         (a, p_a), b = _lower_end(family, x, alpha), math.inf
         p_b = 1.0 if family.support.bounded_above else None

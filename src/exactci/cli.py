@@ -17,7 +17,7 @@ import math
 import sys
 
 from .bounds import ConfidenceInterval
-from .coverage import _interval, exact_coverage, write_csv
+from .coverage import _csv_rows, _interval, exact_coverage, write_csv
 from .errors import (BadAlpha, BadDelta, BadGrid, BadN, EmptySupport, ExactCIError,
                      OutOfSupport)
 from .models import TwoByTwoTable, make_binomial, make_odds_ratio, make_poisson, point_estimate
@@ -150,9 +150,7 @@ def _print_intervals(model, x, args, out=sys.stdout) -> None:
         return
     if args.format == "csv":
         names = [f.name for f in dataclasses.fields(ConfidenceInterval)]
-        for row in [names] + [[getattr(ci, name) for name in names] for ci in cis]:
-            cells = (c if isinstance(c, str) else "" if c is None else repr(c) for c in row)
-            out.write(",".join(cells) + "\n")
+        _csv_rows([names] + [[getattr(ci, name) for name in names] for ci in cis], out)
         return
     label = model.natural_label
     head = [f"model: {model.kind}"]
@@ -203,9 +201,7 @@ def _print_curve(model, x, args, out=sys.stdout) -> None:
         rows.append((nat, left, "left"))
         rows.append((nat, right, "right"))
     rows.sort(key=lambda r: (r[0], r[2] == "right"))
-    out.write("natural_param,pvalue,side\n")
-    for nat, p, side in rows:
-        out.write(f"{float(nat)!r},{float(p)!r},{side}\n")
+    _csv_rows([("natural_param", "pvalue", "side")] + rows, out)
 
 
 def _print_audit(model, args, out=sys.stdout) -> None:

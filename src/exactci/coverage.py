@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import ConfidenceInterval, _check_x, _unpack, clopper_pearson, one_sided_interval
+from .bounds import (ConfidenceInterval, _check_alpha, _check_x, _unpack, clopper_pearson,
+                     one_sided_interval)
 from .errors import BadGrid, InadmissibleInfiniteTheta, UnboundedEnumeration
 from .sterne import DEFAULT_DELTA, _sweep, sterne_interval
 
@@ -83,7 +84,8 @@ def interval_bounds(fam_or_model, method: str, x: int, alpha: float, delta: floa
 
 
 def _bounds_of(fam_or_model, method: str, xs, alpha: float, delta: float) -> list[tuple]:
-    """``interval_bounds`` of each x in xs; Sterne ends come from one sweep."""
+    """``interval_bounds`` of each checked x in xs after one alpha check; Sterne ends: one sweep."""
+    alpha = _check_alpha(alpha)
     if method != "sterne":
         return [interval_bounds(fam_or_model, method, x, alpha, delta) for x in xs]
     family, to_natural = _unpack(fam_or_model)
@@ -198,14 +200,16 @@ def length_table(fam_or_model, methods, alpha: float, xs, delta: float = DEFAULT
     return out
 
 
+def _csv_rows(rows, fh) -> None:
+    """Write each row as one CSV line: text as it is, None blank, a number as repr(float(v))."""
+    for row in rows:
+        fh.write(",".join([c if isinstance(c, str) else "" if c is None else repr(float(c))
+                           for c in row]) + "\n")
+
+
 def write_csv(report: CoverageReport, fh) -> None:
-    """Emit a report as CSV: eta, natural_param, coverage, expected_length."""
-    fh.write("eta,natural_param,coverage,expected_length\n")
-    for i in range(len(report.grid)):
-        length = ""
-        if report.expected_length is not None:
-            length = repr(float(report.expected_length[i]))
-        eta = repr(float(report.grid[i]))
-        nat = repr(float(report.natural[i]))
-        cov = repr(float(report.coverage[i]))
-        fh.write(f"{eta},{nat},{cov},{length}\n")
+    """Emit a report as CSV through ``_csv_rows``: eta, natural_param, coverage, expected_length."""
+    lengths = report.expected_length
+    _csv_rows([("eta", "natural_param", "coverage", "expected_length"),
+               *zip(report.grid, report.natural, report.coverage,
+                    [None] * len(report.grid) if lengths is None else lengths)], fh)

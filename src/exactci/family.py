@@ -71,6 +71,14 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _check_x(owner, x) -> int:
+    """x as an int if it is in ``owner.support``, else OutOfSupport (non-integers and bools
+    too): the one membership check of the public entries, ``logpmf`` and ``point_estimate``."""
+    if x not in owner.support:
+        raise OutOfSupport(f"x = {x} is not in the support")
+    return int(x)
+
+
 def _search(pred: Callable, start: int, direction: int, end: int | float, step: int) -> int:
     """First x past ``start`` in ``direction`` with pred(x) true, or ``end``.
 
@@ -181,11 +189,10 @@ class Distribution:
         return int(self.xs[0]), int(self.xs[-1])
 
     def logpmf(self, x) -> float:
-        if x not in self.support:
-            raise OutOfSupport(f"x = {x} is not in the support")
+        x = _check_x(self, x)
         if self.logw is None:  # a point mass
-            return 0.0 if int(x) == self._ends[0] else -math.inf
-        return self._logw(int(x)) + self.theta * int(x) - self.log_norm
+            return 0.0 if x == self._ends[0] else -math.inf
+        return self._logw(x) + self.theta * x - self.log_norm
 
     def pmf(self, x) -> float:
         return math.exp(self.logpmf(x))
@@ -248,9 +255,7 @@ class _Mirror(Distribution):
     mean = cached_property(lambda self: -self.source.mean)
 
     def logpmf(self, x) -> float:
-        if x not in self.support:
-            raise OutOfSupport(f"x = {x} is not in the support")
-        return self.source.logpmf(-x)
+        return self.source.logpmf(-_check_x(self, x))
 
     def cdf(self, x) -> float:
         return self.source.sf(-x)

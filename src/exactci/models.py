@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BadN, EmptySupport, OutOfSupport
-from .family import LatticeFamily, LatticeSupport, _is_int
+from .family import LatticeFamily, LatticeSupport, _check_x, _is_int
 
 
 @dataclass(frozen=True)
@@ -237,9 +237,7 @@ def point_estimate(model: Model, x: int) -> float:
 
     whose log always falls inside the p-value plateau of x.
     """
-    if x not in model.family.support:
-        raise OutOfSupport(f"x = {x} is not in the support")
-    x = int(x)
+    x = _check_x(model.family, x)
     if model.kind == "binomial":
         return x / model.params["n"]
     if model.kind == "poisson":

@@ -44,8 +44,7 @@ import math
 from dataclasses import dataclass, replace
 
 from . import family as _lattice
-from .bounds import (_bisect, _check_alpha, _check_delta, _check_x, _ci, _newton,
-                     _solve_decreasing_cdf, _unpack)
+from .bounds import _bisect, _check_delta, _checked, _ci, _newton, _solve_decreasing_cdf
 from .errors import DivergentSearch, UnboundedEnumeration
 from .family import Distribution, LatticeFamily, _search, reflect, special_param
 
@@ -103,8 +102,7 @@ def sterne_pvalue(fam_or_model, x: int, eta: float) -> PValueEvaluation:
     eta may be +/-inf where the matching support endpoint is finite; there the
     family is a point mass and pi is 1 if x is that endpoint, else 0.
     """
-    family, _ = _unpack(fam_or_model)
-    x = _check_x(family, x)
+    family, _, x = _checked(fam_or_model, x)
     lo, hi = family.support.lo, family.support.hi
     if math.isinf(eta):
         # forces the admissibility check
@@ -298,6 +296,7 @@ def _lower_result(family: LatticeFamily, x: int, alpha: float, delta: float) -> 
 
 def _sweep(family: LatticeFamily, xs, alpha: float, delta: float) -> dict[int, tuple[float, float]]:
     """{x: (theta_lo, theta_hi)} for every outcome in xs, as ``sterne_interval`` gives them.
+    Its callers pass xs and alpha checked (``coverage._bounds_of``); delta is checked here.
 
     k*(x) is nondecreasing, so the upper ends run over ascending x with each
     stage one warm-started at the previous k*. The lower end of z is the upper
@@ -313,8 +312,7 @@ def _sweep(family: LatticeFamily, xs, alpha: float, delta: float) -> dict[int, t
     search's distribution there, and else stage two alone finds it. Outcomes
     not certified (sparse xs) run the warm reflected search over descending z.
     """
-    xs = sorted({_check_x(family, x) for x in xs})
-    alpha, delta = _check_alpha(alpha), _check_delta(delta)
+    xs, delta = sorted(set(xs)), _check_delta(delta)
     his, ks, qs, k = {}, [], [], None
     for x in xs:
         r, d = _upper_result(family, x, alpha, delta, k)
@@ -338,24 +336,19 @@ def _sweep(family: LatticeFamily, xs, alpha: float, delta: float) -> dict[int, t
 
 def sterne_upper(fam_or_model, x: int, alpha: float, delta: float = DEFAULT_DELTA) -> float:
     """Upper endpoint of the Sterne confidence set (+inf at the support max)."""
-    family, _ = _unpack(fam_or_model)
-    x = _check_x(family, x)
-    return _upper_result(family, x, _check_alpha(alpha), _check_delta(delta))[0].bound
+    family, _, x, alpha, delta = _checked(fam_or_model, x, alpha, delta)
+    return _upper_result(family, x, alpha, delta)[0].bound
 
 
 def sterne_lower(fam_or_model, x: int, alpha: float, delta: float = DEFAULT_DELTA) -> float:
     """Lower endpoint of the Sterne confidence set (-inf at the support min)."""
-    family, _ = _unpack(fam_or_model)
-    x = _check_x(family, x)
-    return _lower_result(family, x, _check_alpha(alpha), _check_delta(delta)).bound
+    family, _, x, alpha, delta = _checked(fam_or_model, x, alpha, delta)
+    return _lower_result(family, x, alpha, delta).bound
 
 
 def sterne_interval(fam_or_model, x: int, alpha: float, delta: float = DEFAULT_DELTA):
     """Closed hull of {eta : pi(x, eta) > alpha} on both parameter scales."""
-    family, to_natural = _unpack(fam_or_model)
-    x = _check_x(family, x)
-    alpha = _check_alpha(alpha)
-    delta = _check_delta(delta)
+    family, to_natural, x, alpha, delta = _checked(fam_or_model, x, alpha, delta)
     lo = _lower_result(family, x, alpha, delta)
     hi = _upper_result(family, x, alpha, delta)[0]
     return _ci("sterne", alpha, to_natural, lo.bound, hi.bound, lo.achieved, hi.achieved, delta)
@@ -367,8 +360,7 @@ def jump_limits(fam_or_model, x: int, k: int) -> tuple[float, float, float]:
     For k > x the left limit equals the value at the point; for k < x the
     right limit does, read as the jump at -k of the reflection at -theta.
     """
-    family, _ = _unpack(fam_or_model)
-    x = _check_x(family, x)
+    family, _, x = _checked(fam_or_model, x)
     t = special_param(family, x, k)
     s = 1 if k > x else -1
     fam, x, k = (family, x, int(k)) if s > 0 else (reflect(family), -x, -int(k))

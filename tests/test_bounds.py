@@ -24,6 +24,11 @@ from exactci import (
     pvalue_left,
     pvalue_right,
     pvalue_two,
+    jump_limits,
+    sterne_interval,
+    sterne_lower,
+    sterne_pvalue,
+    sterne_upper,
     upper_bound,
 )
 from exactci.bounds import THETA_TOL, _bisect
@@ -129,6 +134,52 @@ class TestBoundEdges:
     def test_numpy_alpha_accepted(self, bin20, alpha):
         assert clopper_pearson(bin20, 5, alpha) == clopper_pearson(bin20, 5, float(alpha))
         assert lower_bound(bin20, 5, alpha) == lower_bound(bin20, 5, float(alpha))
+
+
+# every public entry that takes an outcome, called as entry(model, x, its next argument)
+ENTRIES = {
+    "upper_bound": upper_bound, "lower_bound": lower_bound, "pvalue_left": pvalue_left,
+    "pvalue_right": pvalue_right, "pvalue_two": pvalue_two, "clopper_pearson": clopper_pearson,
+    "one_sided_interval": lambda m, x, a: one_sided_interval(m, x, a, "upper"),
+    "sterne_pvalue": sterne_pvalue, "sterne_upper": sterne_upper, "sterne_lower": sterne_lower,
+    "sterne_interval": sterne_interval, "jump_limits": jump_limits,
+}
+# the entries whose next argument is alpha
+LEVELED = ["upper_bound", "lower_bound", "clopper_pearson", "one_sided_interval",
+           "sterne_upper", "sterne_lower", "sterne_interval"]
+
+
+class TestOneEntryGate:
+    """Every entry checks its model, then x, then alpha, then delta."""
+
+    @pytest.mark.parametrize("name", ENTRIES)
+    def test_a_non_model_is_refused_first(self, bin20, name):
+        with pytest.raises(TypeError, match="expected a Model or LatticeFamily"):
+            ENTRIES[name]("binomial", 21, 5.0)
+
+    @pytest.mark.parametrize("x", [21, -1, 5.0, True])
+    @pytest.mark.parametrize("name", ENTRIES)
+    def test_x_off_the_support_is_refused_before_alpha(self, bin20, name, x):
+        with pytest.raises(OutOfSupport):
+            ENTRIES[name](bin20, x, 5.0)
+
+    @pytest.mark.parametrize("name", LEVELED)
+    def test_alpha_none_is_refused(self, bin20, name):
+        with pytest.raises(BadAlpha):
+            ENTRIES[name](bin20, 5, None)
+
+    @pytest.mark.parametrize("entry", [sterne_upper, sterne_lower, sterne_interval])
+    def test_alpha_is_refused_before_delta(self, bin20, entry):
+        with pytest.raises(BadAlpha):
+            entry(bin20, 5, None, None)
+        with pytest.raises(OutOfSupport):
+            entry(bin20, 21, 5.0, None)
+
+    def test_side_is_checked_after_x_and_alpha(self, bin20):
+        with pytest.raises(OutOfSupport):
+            one_sided_interval(bin20, 21, 5.0, "both")
+        with pytest.raises(BadAlpha):
+            one_sided_interval(bin20, 5, 5.0, "both")
 
 
 class TestMonotonicity:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import exactci.sterne
 
 from exactci import (
+    BadAlpha,
     BadGrid,
     InadmissibleInfiniteTheta,
     LatticeFamily,
@@ -156,6 +157,11 @@ class TestLengthTable:
         # int() would read them as 5 and 1, and give rows for them
         with pytest.raises(OutOfSupport):
             length_table(bin20, [method], 0.05, xs)
+
+    @pytest.mark.parametrize("method", ["sterne", "cp", "lower", "upper"])
+    def test_bad_alpha_is_refused_without_outcomes(self, bin20, method):
+        with pytest.raises(BadAlpha):
+            length_table(bin20, [method], 5.0, [])
 
 
 SWEEPS = [(make_binomial(20), 8.0), (make_binomial(200), 8.0),

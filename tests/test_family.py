@@ -70,8 +70,10 @@ class TestLatticeSupport:
             LatticeSupport(3, 2)
 
     def test_non_integer_endpoint_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="lo must be"):
             LatticeSupport(0.5, 2)
+        with pytest.raises(ValueError, match="hi must be"):
+            LatticeSupport(0, 1.5)
 
 
 class TestValidate:
@@ -156,6 +158,14 @@ class TestLogPmf:
     def test_out_of_support(self, bin20):
         with pytest.raises(OutOfSupport):
             bin20.family.distribution(0.0).logpmf(21)
+        with pytest.raises(OutOfSupport):  # the reflection's support is -20..0
+            reflect(bin20.family).distribution(0.0).logpmf(1)
+
+    @pytest.mark.parametrize("theta", [3, np.int64(3)])
+    def test_an_integer_theta_is_its_float(self, bin20, theta):
+        d, want = bin20.family.distribution(theta), bin20.family.distribution(3.0)
+        assert type(d.theta) is float and d.theta == 3.0
+        assert d.e.tobytes() == want.e.tobytes() and (d.s, d.log_norm) == (want.s, want.log_norm)
 
     def test_infinite_theta_needs_finite_endpoint(self, pois):
         with pytest.raises(InadmissibleInfiniteTheta):
@@ -314,6 +324,11 @@ class TestSpecialParam:
     def test_k_equals_x(self, bin20):
         with pytest.raises(KEqualsX):
             special_param(bin20.family, 5, 5)
+
+    @pytest.mark.parametrize("x", [21, -1, 5.0, True])
+    def test_x_off_the_support(self, bin20, x):
+        with pytest.raises(OutOfSupport, match="x = "):
+            special_param(bin20.family, x, 6)
 
     def test_k_out_of_range(self, bin20):
         with pytest.raises(OutOfSupport):

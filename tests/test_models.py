@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -188,6 +189,10 @@ class TestPointEstimate:
     def test_out_of_support(self, bin20):
         with pytest.raises(OutOfSupport):
             point_estimate(bin20, 21)
+
+    def test_unknown_kind(self, bin20):
+        with pytest.raises(ValueError, match="unknown model kind 'geometric'"):
+            point_estimate(dataclasses.replace(bin20, kind="geometric"), 5)
 
     def test_binomial_estimate_in_plateau(self, bin20):
         for x in range(1, 20):

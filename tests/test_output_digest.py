@@ -86,3 +86,15 @@ def test_the_command_line_exit_status(tmp_path):
         argv = [sys.executable, str(SCRIPT), "--compare", old, write(tmp_path / "new.jsonl", new)]
         codes.append(subprocess.run(argv, env=env, capture_output=True, text=True).returncode)
     assert codes == [0, 1]
+
+
+def test_a_repeated_case_is_refused_by_name(tmp_path):
+    repeated = LINES + [dict(LINES[1], evals=15)]
+    with pytest.raises(ValueError, match=r'case \["cli", "poisson --x 3"\] appears twice'):
+        compare(tmp_path, repeated)
+    old = write(tmp_path / "old.jsonl", repeated)
+    env = dict(os.environ, PYTHONPATH=str(SCRIPT.parents[1] / "src"))
+    argv = [sys.executable, str(SCRIPT), "--compare", old, write(tmp_path / "new.jsonl", LINES)]
+    run = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert run.returncode == 2
+    assert '["cli", "poisson --x 3"] appears twice' in run.stderr

@@ -51,12 +51,12 @@ def _check_delta(delta) -> float:
 
 def _checked(fam_or_model, x, *levels) -> tuple:
     """(family, to_natural, x[, alpha[, delta]]), the gate of every public entry with an outcome:
-    ``_unpack``, then ``_check_x``, ``_check_alpha`` and ``_check_delta``, in that order."""
+    ``_unpack``, then ``_check_x``, ``_check_alpha`` and ``_check_delta``; more levels raise."""
     family, to_natural = _unpack(fam_or_model)
     x = _check_x(family, x)
-    if not levels:
-        return family, to_natural, x
-    return (family, to_natural, x, _check_alpha(levels[0]), *map(_check_delta, levels[1:]))
+    if len(levels) == 2:
+        return family, to_natural, x, _check_alpha(levels[0]), _check_delta(levels[1])
+    return (family, to_natural, x, _check_alpha(*levels)) if levels else (family, to_natural, x)
 
 
 @dataclass(frozen=True)

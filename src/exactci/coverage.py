@@ -84,7 +84,8 @@ def interval_bounds(fam_or_model, method: str, x: int, alpha: float, delta: floa
 
 
 def _bounds_of(fam_or_model, method: str, xs, alpha: float, delta: float) -> list[tuple]:
-    """``interval_bounds`` of each checked x in xs after one alpha check; Sterne ends: one sweep."""
+    """``interval_bounds`` of each checked x in xs; Sterne ends come from one sweep. Alpha is
+    checked first, so an empty xs still refuses a bad one; cp, lower and upper re-check it per x."""
     alpha = _check_alpha(alpha)
     if method != "sterne":
         return [interval_bounds(fam_or_model, method, x, alpha, delta) for x in xs]

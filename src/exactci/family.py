@@ -72,8 +72,8 @@ def _is_int(x) -> bool:
 
 
 def _check_x(owner, x) -> int:
-    """x as an int if it is in ``owner.support``, else OutOfSupport (non-integers and bools
-    too): the one membership check of the public entries, ``logpmf`` and ``point_estimate``."""
+    """x as an int if in ``owner.support``, else OutOfSupport (non-integers and bools too): the one
+    membership check of the public entries, ``logpmf``, ``point_estimate`` and ``special_param``."""
     if x not in owner.support:
         raise OutOfSupport(f"x = {x} is not in the support")
     return int(x)
@@ -475,8 +475,7 @@ def special_param(family: LatticeFamily, x: int, k: int) -> float:
     strictly increasing in k. The sentinels k = lo - 1 and k = hi + 1 (for
     finite endpoints) give -inf and +inf.
     """
-    if x not in family.support:
-        raise OutOfSupport(f"x = {x} is not in the support")
+    x = _check_x(family, x)
     if k not in family.support:
         # only an int can be a sentinel: 21.0 == 21 and True == 1 are none
         if _is_int(k) and family.support.bounded_below and k == int(family.support.lo) - 1:

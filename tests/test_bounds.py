@@ -31,7 +31,7 @@ from exactci import (
     sterne_upper,
     upper_bound,
 )
-from exactci.bounds import THETA_TOL, _bisect
+from exactci.bounds import THETA_TOL, _bisect, _checked
 from exactci.family import plateau
 from oracles import count_evaluations
 from test_sterne import harmonic_family, negative_binomial
@@ -174,6 +174,15 @@ class TestOneEntryGate:
             entry(bin20, 5, None, None)
         with pytest.raises(OutOfSupport):
             entry(bin20, 21, 5.0, None)
+
+    def test_the_gate_returns_what_it_checked_and_no_more(self, bin20):
+        fam, to_natural = bin20.family, bin20.to_natural
+        assert _checked(bin20, np.int64(5)) == (fam, to_natural, 5)
+        assert _checked(bin20, 5, 0.05) == (fam, to_natural, 5, 0.05)
+        family, _, x, alpha, delta = _checked(fam, 5, 0.05, 1)
+        assert (family, x, alpha, delta) == (fam, 5, 0.05, 1.0) and type(delta) is float
+        with pytest.raises(TypeError):
+            _checked(bin20, 5, 0.05, 1e-6, 1e-6)
 
     def test_side_is_checked_after_x_and_alpha(self, bin20):
         with pytest.raises(OutOfSupport):

@@ -5,7 +5,8 @@ The cases run the interval functions (Clopper-Pearson, both one-sided
 intervals, Sterne), the two exact bounds, ``exact_coverage``,
 ``length_table`` and the command line over binomial, Poisson, odds-ratio and
 three custom families, at alpha from 1e-15 to 0.9, and the tail p-values,
-Sterne ends and Sterne p-value at infinite, overflowing and zero parameters.
+Sterne ends and Sterne p-value at infinite, overflowing and zero parameters,
+and the refusal of a bad delta by every method.
 Each line holds the case, the repr of every output field, the name of the
 typed error it raised (or null) and the number of
 ``LatticeFamily.distribution`` calls it made. Two checkouts compare by diff:
@@ -127,6 +128,14 @@ EXTRA = [
     (["binomial 20", "upper", 5, 0.95], lambda m: one_sided_interval(m, 5, 0.95, "upper")),
     (["binomial 20", "sterne_upper", 5, 0.05], lambda m: sterne_upper(m, 5, 0.05)),
     (["binomial 20", "sterne_lower", 5, 0.05], lambda m: sterne_lower(m, 5, 0.05)),
+    # a bad delta is refused whatever the method; the Poisson truncation at -inf is a point mass
+    (["binomial 20", "exact_coverage", "clopper_pearson", 0.05, "delta -1"],
+     lambda m: exact_coverage(m, "cp", 0.05,
+                              [m.from_natural(v) for v in np.linspace(0.01, 0.99, 25)], delta=-1)),
+    (["binomial 20", "length_table", 0.05, "lower", "delta 0.0"],
+     lambda m: length_table(m, ("lower",), 0.05, range(21), delta=0.0)),
+    (["poisson", "exact_coverage", "sterne", 0.05, "-inf"],
+     lambda m: exact_coverage(m, "sterne", 0.05, [-math.inf])),
 ] + [
     (["binomial 20", "sterne_pvalue", 5, t], lambda m, t=t: sterne_pvalue(m, 5, t))
     for t in (-math.inf, math.inf)
@@ -160,6 +169,9 @@ ARGUMENT_ERRORS = [
     "curve --model poisson --x 3 --from 1 --to inf",
     "audit --model poisson --from 1 --to inf",
     "oddsratio --y1 42 --n1 49 --y2 203 --n2 317 --curve --from 0.5 --to inf",
+    "binomial --n 20 --x 5 --method cp --delta -1",
+    "binomial --n 20 --x 5 --method lower --delta 0",
+    "audit --model binomial --n 20 --method upper --delta -1 --from 0.1 --to 0.9 --points 3",
 ]
 
 COMMANDS = [

@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_model(args) -> tuple:
-    """The model named on the command line and the observed x (None for an audit)."""
+    """The model named on the command line and the observed x (None for an audit), unchecked."""
     audit = args.command == "audit"
     kind = args.model if args.command in ("curve", "audit") else args.command
     missing = [f"--{a}" for a in _MODEL_ARGS[kind][audit] if getattr(args, a) is None]
@@ -120,11 +120,7 @@ def _build_model(args) -> tuple:
     else:
         table = TwoByTwoTable(y1=args.y1, n1=args.n1, y2=args.y2, n2=args.n2)
         model, x = make_odds_ratio(table.n1, table.n2, table.s), table.x
-    if audit:
-        return model, None
-    if x not in model.family.support:
-        raise OutOfSupport(f"x = {x} is outside the support of this model")
-    return model, int(x)
+    return model, x
 
 
 def _interval_record(model, x, ci) -> dict:

@@ -11,8 +11,8 @@ inside its span, which makes the reported minimum exact over the span: the
 coverage function only changes where an endpoint is crossed.
 
 Unbounded supports are handled by truncating the outcome sum at the
-1 - 1e-14 quantile of the largest finite parameter, which can only understate
-coverage.
+1 - 1e-14 quantile of the largest grid parameter, which can only understate
+coverage; the evaluator refuses that parameter if it is +inf.
 
 The grid is summed in blocks of consecutive parameters, with no
 ``distribution`` call. Summation windows (see :mod:`exactci.family`) move
@@ -35,9 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (ConfidenceInterval, _check_alpha, _check_x, _unpack, clopper_pearson,
-                     one_sided_interval)
-from .errors import BadGrid, InadmissibleInfiniteTheta, UnboundedEnumeration
+from .bounds import (ConfidenceInterval, _check_alpha, _check_delta, _check_x, _checked, _unpack,
+                     clopper_pearson, one_sided_interval)
+from .errors import BadGrid, UnboundedEnumeration
 from .sterne import DEFAULT_DELTA, _sweep, sterne_interval
 
 _TAIL = 1e-14
@@ -68,8 +68,10 @@ class CoverageReport:
 
 
 def _interval(fam_or_model, method: str, x: int, alpha: float, delta: float) -> ConfidenceInterval:
-    """The interval of one outcome by one method of METHODS (or "cp")."""
+    """The interval of one outcome by one method of METHODS (or "cp"): the name is checked, then
+    x, alpha and delta in ``_checked``, so a bad delta is refused whatever the method."""
     method = _canon_method(method)
+    _checked(fam_or_model, x, alpha, delta)
     if method == "sterne":
         return sterne_interval(fam_or_model, x, alpha, delta)
     if method == "clopper_pearson":
@@ -84,9 +86,9 @@ def interval_bounds(fam_or_model, method: str, x: int, alpha: float, delta: floa
 
 
 def _bounds_of(fam_or_model, method: str, xs, alpha: float, delta: float) -> list[tuple]:
-    """``interval_bounds`` of each checked x in xs; Sterne ends come from one sweep. Alpha is
-    checked first, so an empty xs still refuses a bad one; cp, lower and upper re-check it per x."""
-    alpha = _check_alpha(alpha)
+    """``interval_bounds`` of each checked x in xs, Sterne ends from one unchecked sweep. Alpha and
+    delta are checked first, so an empty xs still refuses them; cp, lower and upper re-check per x."""
+    alpha, delta = _check_alpha(alpha), _check_delta(delta)
     if method != "sterne":
         return [interval_bounds(fam_or_model, method, x, alpha, delta) for x in xs]
     family, to_natural = _unpack(fam_or_model)
@@ -116,14 +118,10 @@ def exact_coverage(fam_or_model, method: str, alpha: float, eta_grid,
         raise UnboundedEnumeration("coverage enumeration needs a support bounded below")
     if family.support.bounded:
         xs = [int(v) for v in family.support.points()]
-    elif math.inf in grid:
-        raise InadmissibleInfiniteTheta("theta = inf is inadmissible: the support is unbounded")
-    else:
-        finite, xs = [v for v in grid if math.isfinite(v)], [int(family.support.lo)]
-        if finite:
-            d = family.distribution(max(finite))
-            i = min(int(np.searchsorted(np.cumsum(d.pmf_values), 1.0 - _TAIL)), len(d.xs) - 1)
-            xs = list(range(xs[0], int(d.xs[i]) + 1))
+    else:  # the evaluator refuses +inf; -inf is the point mass at lo
+        d = family.distribution(max(grid))
+        i = min(int(np.searchsorted(np.cumsum(d.pmf_values), 1.0 - _TAIL)), len(d.xs) - 1)
+        xs = list(range(int(family.support.lo), int(d.xs[i]) + 1))
 
     t_lo, t_hi, n_lo, n_hi = map(np.asarray, zip(*_bounds_of(fam_or_model, method, xs, alpha, delta)))
 

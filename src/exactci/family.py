@@ -441,19 +441,19 @@ class LatticeFamily:
 def validate(family: LatticeFamily, theta: float = 0.0) -> None:
     """Check strict log-concavity of the weights the window searches read.
 
-    A bounded support is checked whole; an unbounded one only over its
-    summation window at ``theta``, which must be admissible (tail behaviour is
-    the constructor's responsibility). The check is strict in floats because
-    the searches' predicates are monotone only on strictly decreasing float
-    differences. Raises :class:`NotLogConcave` carrying the first violating
-    interior index. Every family runs the same check where weights enter its store.
+    It runs ``family.distribution(theta)``, which refuses theta as every evaluation
+    does; a reflection is then checked as its source at -theta. A bounded support is
+    checked whole; an unbounded one only over that evaluation's window (tail behaviour
+    is the constructor's responsibility). The check is strict in floats because the
+    searches' predicates are monotone only on strictly decreasing float differences.
+    Raises :class:`NotLogConcave` carrying the first violating interior index. Every
+    family runs the same check where weights enter its store.
     """
-    support = family.support
-    if support.bounded and "_source" not in family.__dict__:
-        family._span  # reading a bounded table checks it
-        return
-    first, last = (int(support.lo), int(support.hi)) if support.bounded else family._window(theta)[:2]
-    _check_concavity(first, family._log_weights(first, last))
+    d = family.distribution(theta)
+    if "_source" in family.__dict__:  # the reflection's distribution is a view of its source's
+        family, d = family._source, d.source
+    first, last = (family.support.lo, family.support.hi) if family.support.bounded else d._ends
+    _check_concavity(int(first), family._log_weights(int(first), int(last)))
 
 
 def _check_concavity(first: int, logw: np.ndarray) -> None:

@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass, replace
 
 from . import family as _lattice
-from .bounds import _bisect, _check_delta, _checked, _ci, _newton, _solve_decreasing_cdf
+from .bounds import _bisect, _checked, _ci, _newton, _solve_decreasing_cdf
 from .errors import DivergentSearch, UnboundedEnumeration
 from .family import Distribution, LatticeFamily, _search, reflect, special_param
 
@@ -97,19 +97,17 @@ def _two_tails(d: Distribution, a: int, b: int) -> float:
 
 
 def sterne_pvalue(fam_or_model, x: int, eta: float) -> PValueEvaluation:
-    """Evaluate pi(x, eta) through the piecewise form.
+    """Evaluate pi(x, eta) through the piecewise form, x checked by ``_checked``.
 
-    eta may be +/-inf where the matching support endpoint is finite; there the
-    family is a point mass and pi is 1 if x is that endpoint, else 0.
+    eta may be +/-inf where the matching support endpoint is finite; there pi is the pmf
+    at x of the evaluator's point mass (the evaluator refuses it on an unbounded side). On
+    the plateau it reads two special parameters; elsewhere one distribution and the piece search.
     """
     family, _, x = _checked(fam_or_model, x)
     lo, hi = family.support.lo, family.support.hi
     if math.isinf(eta):
-        # forces the admissibility check
-        family.distribution(eta)
-        if eta > 0:
-            return PValueEvaluation(1.0 if x == hi else 0.0, int(hi) + 1, False)
-        return PValueEvaluation(1.0 if x == lo else 0.0, int(lo) - 1, False)
+        value = family.distribution(eta).pmf(x)
+        return PValueEvaluation(value, int(hi) + 1 if eta > 0 else int(lo) - 1, False)
 
     t_lo = special_param(family, x, x - 1)
     t_hi = special_param(family, x, x + 1)
@@ -296,7 +294,7 @@ def _lower_result(family: LatticeFamily, x: int, alpha: float, delta: float) -> 
 
 def _sweep(family: LatticeFamily, xs, alpha: float, delta: float) -> dict[int, tuple[float, float]]:
     """{x: (theta_lo, theta_hi)} for every outcome in xs, as ``sterne_interval`` gives them.
-    Its callers pass xs and alpha checked (``coverage._bounds_of``); delta is checked here.
+    It checks nothing: its caller, ``coverage._bounds_of``, passes xs, alpha and delta checked.
 
     k*(x) is nondecreasing, so the upper ends run over ascending x with each
     stage one warm-started at the previous k*. The lower end of z is the upper
@@ -312,7 +310,7 @@ def _sweep(family: LatticeFamily, xs, alpha: float, delta: float) -> dict[int, t
     search's distribution there, and else stage two alone finds it. Outcomes
     not certified (sparse xs) run the warm reflected search over descending z.
     """
-    xs, delta = sorted(set(xs)), _check_delta(delta)
+    xs = sorted(set(xs))
     his, ks, qs, k = {}, [], [], None
     for x in xs:
         r, d = _upper_result(family, x, alpha, delta, k)

@@ -310,6 +310,22 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
 
+    # each refusal comes from the library entry the command reaches: x from the entry gate,
+    # after the curve range; delta whatever the method
+    @pytest.mark.parametrize("argv,err", [
+        (("binomial", "--n", "20", "--x", "25"), "OutOfSupport: x = 25 is not in the support\n"),
+        (("poisson", "--x", "-1"), "OutOfSupport: x = -1 is not in the support\n"),
+        (("binomial", "--n", "20", "--x", "25", "--curve", "--from", "0.9", "--to", "0.2"),
+         "BadGrid: "),
+        *[(("binomial", "--n", "20", "--x", "5", "--method", m, "--delta", "-1"), "BadDelta: ")
+          for m in ("cp", "lower", "upper")],
+        (("audit", "--model", "binomial", "--n", "20", "--method", "cp", "--delta", "0",
+          "--from", "0.1", "--to", "0.9", "--points", "3"), "BadDelta: "),
+    ])
+    def test_each_refusal_is_named_on_stderr(self, capsys, argv, err):
+        assert run_cli(*argv) == (2, "")
+        assert capsys.readouterr().err.startswith("error: " + err)
+
     def test_oversized_window_exits_1(self):
         # lambda = 6e6 needs a summation window past the enumeration cap;
         # that is a computation failure, not an argument error.

@@ -12,6 +12,7 @@ import exactci.sterne
 
 from exactci import (
     BadAlpha,
+    BadDelta,
     BadGrid,
     InadmissibleInfiniteTheta,
     LatticeFamily,
@@ -92,6 +93,19 @@ class TestExactCoverage:
         with pytest.raises(InadmissibleInfiniteTheta):
             exact_coverage(pois, "sterne", 0.05, [0.0, math.inf])
 
+    @pytest.mark.parametrize("method", ["sterne", "cp"])
+    def test_infinite_theta_is_refused_by_the_truncation_evaluation(self, monkeypatch, pois,
+                                                                    method):
+        calls = count_evaluations(monkeypatch)
+        with pytest.raises(InadmissibleInfiniteTheta):
+            exact_coverage(pois, method, 0.05, [0.0, math.inf])
+        assert calls == [math.inf]
+
+    def test_a_minus_inf_grid_on_an_unbounded_side_is_the_point_mass_at_lo(self, pois):
+        report = exact_coverage(pois, "sterne", 0.05, [-math.inf])
+        assert report.coverage.tolist() == [1.0]
+        assert report.natural.tolist() == [0.0]
+
     def test_empty_grid_rejected(self, bin20):
         with pytest.raises(BadGrid):
             exact_coverage(bin20, "sterne", 0.05, [])
@@ -162,6 +176,21 @@ class TestLengthTable:
     def test_bad_alpha_is_refused_without_outcomes(self, bin20, method):
         with pytest.raises(BadAlpha):
             length_table(bin20, [method], 5.0, [])
+
+
+class TestBadDelta:
+    @pytest.mark.parametrize("delta", [-1, 0, math.inf, math.nan, None, True])
+    @pytest.mark.parametrize("method", ["sterne", "cp", "lower", "upper"])
+    def test_refused_before_any_outcome_whatever_the_method(self, monkeypatch, bin20, method,
+                                                            delta):
+        calls = count_evaluations(monkeypatch)
+        for call in (lambda: interval_bounds(bin20, method, 5, 0.05, delta),
+                     lambda: exact_coverage(bin20, method, 0.05, [0.0], delta),
+                     lambda: length_table(bin20, [method], 0.05, range(21), delta),
+                     lambda: length_table(bin20, [method], 0.05, [], delta)):
+            with pytest.raises(BadDelta):
+                call()
+        assert calls == []
 
 
 SWEEPS = [(make_binomial(20), 8.0), (make_binomial(200), 8.0),

@@ -119,6 +119,29 @@ class TestValidate:
         make_poisson().family.distribution(0.5)
         assert searches == [0.5]
 
+    @pytest.mark.parametrize("family,theta", [
+        (lambda: LatticeFamily(LatticeSupport(0, 30), lambda xs: 0.05 * xs * xs), 0.0),
+        (lambda: LatticeFamily(LatticeSupport(0, math.inf), lambda xs: -xs + 0.5 * np.sin(xs)), -0.5),
+    ])
+    def test_a_reflection_is_checked_as_its_source(self, family, theta):
+        # it names the outcome its own first evaluation names, the source's at -theta
+        with pytest.raises(NotLogConcave) as evaluated:
+            reflect(family()).distribution(theta)
+        for checked in (lambda: validate(reflect(family()), theta),
+                        lambda: validate(family(), -theta)):
+            with pytest.raises(NotLogConcave) as info:
+                checked()
+            assert info.value.x == evaluated.value.x
+
+    @pytest.mark.parametrize("theta", [math.nan, "a"])
+    def test_theta_is_refused_as_the_evaluator_refuses_it(self, monkeypatch, theta):
+        searches, window = [], LatticeFamily._window
+        monkeypatch.setattr(LatticeFamily, "_window",
+                            lambda self, t: searches.append(t) or window(self, t))
+        with pytest.raises(ValueError, match="theta must be a float"):
+            validate(make_poisson().family, theta)
+        assert searches == []
+
     def test_bounded_table_read_checks(self):
         # the check runs where the weights enter the store: a bounded family's
         # first weight read, here a special parameter, before any evaluation
